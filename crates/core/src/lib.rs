@@ -27,9 +27,10 @@
 //!   as clients scale;
 //! * one or a few dedicated cores run [`server::server_loop`] event loops
 //!   over their transport consumer handle: they index incoming blocks in a
-//!   [`store::VariableStore`], detect iteration completion, and fire user
-//!   [`plugins`] (HDF5 output, compression, statistics, in-situ analysis)
-//!   — all overlapped with the simulation's next compute phase;
+//!   [`store::VariableStore`], detect iteration completion, and fire
+//!   [`plugins`] (the `<store>` storage pipeline — compression into one
+//!   h5lite file per node — statistics, in-situ analysis) — all
+//!   overlapped with the simulation's next compute phase;
 //! * when plugins cannot keep up and memory pressure rises, the
 //!   [`policy::SkipPolicy`] drops whole iterations instead of blocking the
 //!   simulation (§V.C.1);

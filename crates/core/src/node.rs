@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use crate::client::{DamarisClient, StatsRecorder};
 use crate::error::{DamarisError, DamarisResult};
 use crate::event::Event;
-use crate::plugins::{CompressPlugin, H5Writer, Plugin, ServePlugin, StatsPlugin, StoragePlugin};
+use crate::plugins::{Plugin, ServePlugin, StatsPlugin, StoragePlugin};
 use crate::policy::SkipPolicy;
 use crate::server::{server_loop, ServerShared};
 
@@ -185,8 +185,6 @@ impl NodeBuilder {
                     continue;
                 }
                 let builtin: Option<Arc<dyn Plugin>> = match action.plugin.as_str() {
-                    "hdf5" => Some(Arc::new(H5Writer::new())),
-                    "compress" => Some(Arc::new(CompressPlugin::new())),
                     "stats" => Some(Arc::new(StatsPlugin::new())),
                     "storage" => Some(Arc::new(
                         StoragePlugin::new(&cfg, self.node_id, &output_dir)

@@ -64,7 +64,7 @@ use damaris_xml::VarId;
 use h5lite::{FileStats, FileWriter};
 use parking_lot::Mutex;
 
-use super::{elem_dtype, IterationCtx, Plugin};
+use super::{IterationCtx, Plugin};
 use crate::process::ProcessSink;
 
 /// Lifetime counters of one [`StorageEngine`].
@@ -73,8 +73,9 @@ use crate::process::ProcessSink;
 /// that had to grow a scratch buffer counts once, so a warmed pipeline
 /// holds it constant while `encodes` keeps climbing. The `*_ns` fields
 /// time the pipeline stages, making the overlap measurable: a healthy
-/// hand-off path shows `drain_ns` (the dedicated core's event-path cost)
-/// far below `encode_ns + append_ns` (the work the stager absorbed).
+/// hand-off path shows `drain_ns - backpressure_wait_ns` (the dedicated
+/// core's own event-path cost) far below `encode_ns + append_ns` (the
+/// work the stager absorbed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
     /// Iterations stored (at least one dataset appended).
@@ -100,6 +101,10 @@ pub struct StorageStats {
     /// to the stager — includes the backpressure wait when the previous
     /// iteration is still in flight.
     pub drain_ns: u64,
+    /// The part of `drain_ns` spent waiting for the stager to come back
+    /// for the next iteration (the one-in-flight bound): send time that
+    /// elapsed before the stager re-entered its receive.
+    pub backpressure_wait_ns: u64,
     /// Nanoseconds of the encode stage (fan-out + collect, wall time).
     pub encode_ns: u64,
     /// Nanoseconds of the append stage (dataset appends + userspace
@@ -127,6 +132,24 @@ impl StorageStats {
     }
 }
 
+/// Map a configuration element type onto its h5lite on-disk dtype.
+fn elem_dtype(t: damaris_xml::schema::ElemType) -> h5lite::Dtype {
+    use damaris_xml::schema::ElemType as E;
+    use h5lite::Dtype;
+    match t {
+        E::I8 => Dtype::I8,
+        E::I16 => Dtype::I16,
+        E::I32 => Dtype::I32,
+        E::I64 => Dtype::I64,
+        E::U8 => Dtype::U8,
+        E::U16 => Dtype::U16,
+        E::U32 => Dtype::U32,
+        E::U64 => Dtype::U64,
+        E::F32 => Dtype::F32,
+        E::F64 => Dtype::F64,
+    }
+}
+
 /// Per-variable state resolved once at engine construction, so the
 /// steady-state write loop never parses a codec spec or re-derives a
 /// layout.
@@ -146,6 +169,8 @@ struct VarState {
     /// Reused encode scratch for the inline (`workers == 1`) path — the
     /// no-steady-state-allocation guarantee.
     scratch: EncodeScratch,
+    /// The variable's `unit="…"`, set as an attribute on every dataset.
+    unit: Option<String>,
 }
 
 impl VarState {
@@ -418,7 +443,7 @@ struct EngineCore {
     simulation: String,
     vars: Vec<VarState>,
     /// Opened lazily on the first stored iteration, so an all-skipped run
-    /// leaves no file — matching the HDF5 plugin's behaviour.
+    /// leaves no file.
     writer: Option<FileWriter<BufWriter<File>>>,
     flusher: Option<Flusher>,
     syncs: Arc<AtomicU64>,
@@ -617,6 +642,10 @@ impl EngineCore {
                     .write_bytes_with(data, &mut vs.scratch)
                     .map_err(|e| format!("writing {ds_path}: {e}"))?,
             }
+            if let Some(unit) = &vs.unit {
+                w.set_attr(&ds_path, "unit", unit.as_str())
+                    .map_err(|e| e.to_string())?;
+            }
             self.datasets += 1;
             self.raw_bytes += data.len() as u64;
         }
@@ -633,7 +662,12 @@ impl EngineCore {
         Ok(())
     }
 
-    fn stats_locked(&self, workers: usize, drain_ns: u64) -> StorageStats {
+    fn stats_locked(
+        &self,
+        workers: usize,
+        drain_ns: u64,
+        backpressure_wait_ns: u64,
+    ) -> StorageStats {
         let (mut encodes, mut scratch_grows) = (self.pool_encodes, self.pool_grows);
         for v in &self.vars {
             encodes += v.scratch.encodes();
@@ -649,6 +683,7 @@ impl EngineCore {
             flush_requests: self.flush_requests,
             syncs: self.syncs.load(Ordering::Relaxed),
             drain_ns,
+            backpressure_wait_ns,
             encode_ns: self.encode_ns,
             append_ns: self.append_ns,
             sync_ns: self.sync_ns.load(Ordering::Relaxed),
@@ -689,7 +724,13 @@ pub struct StorageEngine {
     core: Arc<Mutex<EngineCore>>,
     pool: Option<Arc<EncodePool>>,
     workers: usize,
-    drain_ns: Arc<AtomicU64>,
+    drain_ns: u64,
+    backpressure_wait_ns: u64,
+    /// Origin of the `stager_ready_ns` stamps.
+    epoch: Instant,
+    /// When the stager last entered its receive, in nanoseconds since
+    /// `epoch` — how `submit_iteration` tells backpressure from hand-off.
+    stager_ready_ns: Arc<AtomicU64>,
     stage_errors: Arc<Mutex<Vec<String>>>,
     /// Recycled process-mode staging buffers ([`StagedData::Owned`]).
     spare_bufs: Arc<Mutex<Vec<Vec<u8>>>>,
@@ -737,6 +778,7 @@ impl StorageEngine {
                 store: e.store,
                 pipeline,
                 scratch: EncodeScratch::new(),
+                unit: cfg.variable(&e.name).and_then(|v| v.unit.clone()),
             });
         }
         let workers = match store.workers {
@@ -781,7 +823,10 @@ impl StorageEngine {
             })),
             pool,
             workers,
-            drain_ns: Arc::new(AtomicU64::new(0)),
+            drain_ns: 0,
+            backpressure_wait_ns: 0,
+            epoch: Instant::now(),
+            stager_ready_ns: Arc::new(AtomicU64::new(0)),
             stage_errors: Arc::new(Mutex::new(Vec::new())),
             spare_bufs: Arc::new(Mutex::new(Vec::new())),
             spare_sets: Arc::new(Mutex::new(Vec::new())),
@@ -805,7 +850,7 @@ impl StorageEngine {
     pub fn stats(&self) -> StorageStats {
         self.core
             .lock()
-            .stats_locked(self.workers, self.drain_ns.load(Ordering::Relaxed))
+            .stats_locked(self.workers, self.drain_ns, self.backpressure_wait_ns)
     }
 
     /// File summary from [`StorageEngine::finish`], if it ran and a file
@@ -845,10 +890,15 @@ impl StorageEngine {
             .as_ref()
             .and_then(|s| s.tx.as_ref())
             .expect("stager running");
+        let send_start = self.epoch.elapsed().as_nanos() as u64;
         tx.send(StagedIteration { iteration, blocks })
             .map_err(|_| "storage stager thread exited".to_string())?;
-        self.drain_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let send_end = self.epoch.elapsed().as_nanos() as u64;
+        // The stager stamped before the receive that took this
+        // iteration, so the stamp is visible once the send completed.
+        let ready = self.stager_ready_ns.load(Ordering::Acquire);
+        self.backpressure_wait_ns += ready.clamp(send_start, send_end) - send_start;
+        self.drain_ns += t0.elapsed().as_nanos() as u64;
         let mut errs = self.stage_errors.lock();
         if errs.is_empty() {
             Ok(())
@@ -867,9 +917,15 @@ impl StorageEngine {
         let errors = self.stage_errors.clone();
         let spare_bufs = self.spare_bufs.clone();
         let spare_sets = self.spare_sets.clone();
+        let epoch = self.epoch;
+        let ready_ns = self.stager_ready_ns.clone();
         let handle = std::thread::Builder::new()
             .name("damaris-storage-stager".into())
             .spawn(move || {
+                // Stamp each time the stager is about to wait for the next
+                // iteration, so the submitter can tell backpressure apart.
+                let ready = || ready_ns.store(epoch.elapsed().as_nanos() as u64, Ordering::Release);
+                ready();
                 while let Ok(mut staged) = rx.recv() {
                     let views: Vec<(VarId, usize, &[u8])> = staged
                         .blocks
@@ -894,6 +950,7 @@ impl StorageEngine {
                         }
                     }
                     spare_sets.lock().push(staged.blocks);
+                    ready();
                 }
             })
             .expect("spawning storage stager thread");
@@ -1120,7 +1177,7 @@ mod tests {
                  <architecture>{extra_arch}</architecture>
                  <data>
                    <layout name="l" type="f64" dimensions="4,8"/>
-                   <variable name="u" layout="l" codec="xor-delta8,shuffle8,rle"/>
+                   <variable name="u" layout="l" unit="m/s" codec="xor-delta8,shuffle8,rle"/>
                    <variable name="raw" layout="l"/>
                    {extra_vars}
                  </data>
@@ -1172,6 +1229,12 @@ mod tests {
             field(30.0)
         );
         assert_eq!(r.attr("", "node").unwrap().as_i64(), Some(3));
+        // Declared units land on each dataset; undeclared ones add nothing.
+        assert_eq!(
+            r.attr("it000002/u/rank0", "unit").unwrap().as_str(),
+            Some("m/s")
+        );
+        assert!(r.attr("it000003/raw/rank1", "unit").is_none());
         let counters = engine.stats();
         assert_eq!(counters.iterations, 4);
         assert_eq!(counters.datasets, 8);

@@ -52,7 +52,7 @@
 //! client with its communicator so simulation code never threads a
 //! [`Comm`] through every call.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -79,8 +79,8 @@ const TAG_MSG: u32 = 1;
 /// Server → client iteration acknowledgements (tag [`TAG_ACK`]).
 const TAG_ACK: u32 = 2;
 
-const KIND_WRITE: u64 = 1;
-const KIND_END: u64 = 2;
+// Kinds 1 and 2 belonged to the retired per-write framing; never reuse
+// them, so a stale client is rejected instead of misread.
 const KIND_FIN: u64 = 3;
 /// A user signal: `[KIND_SIGNAL, event_id, iteration]` — the process-mode
 /// `damaris_signal`, firing [`ProcessSink::on_signal`] on the dedicated
@@ -90,10 +90,9 @@ const KIND_FIN: u64 = 3;
 const KIND_SIGNAL: u64 = 4;
 /// One client-iteration coalesced into a single framed envelope:
 /// `[KIND_BATCH, iteration, writes, skipped, (var, offset, len) × writes]`
-/// — flushed on `end_iteration`, replacing `writes` individual
-/// [`KIND_WRITE`] descriptors plus the [`KIND_END`] marker with **one
-/// message per client per iteration**. The server still understands the
-/// unbatched kinds, so both framings interoperate.
+/// — flushed on `end_iteration`, so every write descriptor plus the
+/// end-of-iteration marker travel as **one message per client per
+/// iteration**. This is the only way blocks reach the server.
 const KIND_BATCH: u64 = 5;
 
 /// Words of the [`KIND_BATCH`] envelope header preceding the descriptor
@@ -259,36 +258,25 @@ pub struct ServeReport {
     pub degraded: bool,
 }
 
-#[derive(Default)]
-struct IterationState {
-    /// World ranks (1-based clients) that ended this iteration.
-    ended: std::collections::BTreeSet<usize>,
-    announced_writes: u64,
-    received_writes: u64,
-}
+/// World ranks (1-based clients) that ended each staged iteration.
+type EndedBy = HashMap<u64, BTreeSet<usize>>;
 
 /// Complete `iteration` if every client has either ended it or died:
 /// fire the sink callback, count it, and acknowledge the survivors.
 fn try_complete_iteration(
     comm: &Comm,
     clients: usize,
-    dead: &std::collections::BTreeSet<usize>,
-    iterations: &mut HashMap<u64, IterationState>,
+    dead: &BTreeSet<usize>,
+    iterations: &mut EndedBy,
     report: &mut ServeReport,
     sink: &mut dyn ProcessSink,
     iteration: u64,
 ) {
-    let Some(state) = iterations.get(&iteration) else {
+    let Some(ended) = iterations.get(&iteration) else {
         return;
     };
-    if !(1..=clients).all(|c| state.ended.contains(&c) || dead.contains(&c)) {
+    if !(1..=clients).all(|c| ended.contains(&c) || dead.contains(&c)) {
         return;
-    }
-    if dead.is_empty() {
-        // A dead client may have announced writes whose unbatched
-        // descriptors never arrived; only the fault-free path promises
-        // announced == received.
-        debug_assert_eq!(state.received_writes, state.announced_writes);
     }
     iterations.remove(&iteration);
     sink.on_iteration_complete(iteration);
@@ -305,6 +293,9 @@ fn try_complete_iteration(
 pub struct ProcessServer {
     cfg: Arc<Configuration>,
     shm: Arc<ShmFile>,
+    /// Bytes of the mapping each client owns; client rank `r` writes
+    /// only inside `(r-1)*slice .. r*slice`.
+    slice: usize,
 }
 
 impl ProcessServer {
@@ -326,12 +317,44 @@ impl ProcessServer {
         Ok(ProcessServer {
             cfg: Arc::new(cfg),
             shm: Arc::new(shm),
+            slice,
         })
     }
 
     /// The loaded configuration.
     pub fn config(&self) -> &Configuration {
         &self.cfg
+    }
+
+    /// Check one client-sent `(var, offset, len)` descriptor before it
+    /// reaches the mapping or a sink: the bytes must lie inside the
+    /// sending rank's slice and the variable must be declared.
+    fn checked_block(
+        &self,
+        source: usize,
+        var_raw: u64,
+        offset: u64,
+        len: u64,
+    ) -> DamarisResult<(VarId, usize, usize)> {
+        let lo = ((source - 1) * self.slice) as u64;
+        let hi = lo + self.slice as u64;
+        let in_slice = offset >= lo && offset.checked_add(len).is_some_and(|end| end <= hi);
+        if !in_slice {
+            return Err(DamarisError::InvalidState(format!(
+                "rank {source} sent a {len}-byte block at offset {offset}, \
+                 outside its slice {lo}..{hi}"
+            )));
+        }
+        let var = u32::try_from(var_raw)
+            .map(VarId::from_raw)
+            .ok()
+            .filter(|&var| self.cfg.registry().get(var).is_some())
+            .ok_or_else(|| {
+                DamarisError::InvalidState(format!(
+                    "rank {source} sent a block of undeclared variable id {var_raw}"
+                ))
+            })?;
+        Ok((var, offset as usize, len as usize))
     }
 
     /// Serve until every client finalizes **or dies**; blocks are handed
@@ -344,27 +367,17 @@ impl ProcessServer {
     /// completing ([`ServeReport::degraded`]). In the legacy EOF-only
     /// mesh a death still poisons the mailbox and this call panics, as
     /// before.
+    ///
+    /// A malformed message — an unknown kind, a block outside the sending
+    /// rank's slice, an undeclared variable or event — ends the serve
+    /// with [`DamarisError::InvalidState`] naming the rank; nothing a
+    /// client sends can panic the dedicated core.
     pub fn serve(&self, comm: &Comm, sink: &mut dyn ProcessSink) -> DamarisResult<ServeReport> {
         let clients = comm.size() - 1;
         let mut report = ServeReport::default();
-        let mut iterations: HashMap<u64, IterationState> = HashMap::new();
-        let mut finalized: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        let mut dead: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
-        // One client finished `iteration` (announcing `writes` blocks,
-        // `skipped != 0` when its skip policy dropped the iteration).
-        let note_end = |iterations: &mut HashMap<u64, IterationState>,
-                        report: &mut ServeReport,
-                        iteration: u64,
-                        writes: u64,
-                        skipped: u64,
-                        source: usize| {
-            if skipped != 0 {
-                report.skipped_client_iterations += 1;
-            }
-            let state = iterations.entry(iteration).or_default();
-            state.ended.insert(source);
-            state.announced_writes += writes;
-        };
+        let mut iterations = EndedBy::new();
+        let mut finalized: BTreeSet<usize> = BTreeSet::new();
+        let mut dead: BTreeSet<usize> = BTreeSet::new();
         while (1..=clients).any(|c| !finalized.contains(&c) && !dead.contains(&c)) {
             let known_dead: Vec<usize> = dead.iter().copied().collect();
             let (msg, source) = match comm.recv_any_or_death::<u64>(TAG_MSG, &known_dead) {
@@ -394,24 +407,11 @@ impl ProcessServer {
                 }
             };
             match msg.first().copied() {
-                Some(KIND_WRITE) => {
-                    let [_, var_raw, iteration, offset, len] = msg[..] else {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed write descriptor from rank {source}: {msg:?}"
-                        )));
-                    };
-                    let var = VarId::from_raw(var_raw as u32);
-                    self.shm.with_bytes(offset as usize, len as usize, |bytes| {
-                        sink.on_block(var, iteration, source, bytes)
-                    });
-                    report.blocks_received += 1;
-                    report.bytes_received += len;
-                    iterations.entry(iteration).or_default().received_writes += 1;
-                }
                 Some(KIND_BATCH) => {
                     // The whole client-iteration in one envelope: header
                     // plus 3-word write descriptors, consumed in the
-                    // client's publish order before the END effect.
+                    // client's publish order before the end-of-iteration
+                    // effect.
                     let ok = msg.len() >= BATCH_HEADER
                         && (msg.len() - BATCH_HEADER) as u64 == msg[2].saturating_mul(3);
                     if !ok {
@@ -422,52 +422,20 @@ impl ProcessServer {
                             msg.get(2),
                         )));
                     }
-                    let (iteration, writes, skipped) = (msg[1], msg[2], msg[3]);
+                    let (iteration, skipped) = (msg[1], msg[3]);
                     for desc in msg[BATCH_HEADER..].chunks_exact(3) {
-                        let (var_raw, offset, len) = (desc[0], desc[1], desc[2]);
-                        let var = VarId::from_raw(var_raw as u32);
-                        self.shm.with_bytes(offset as usize, len as usize, |bytes| {
+                        let (var, offset, len) =
+                            self.checked_block(source, desc[0], desc[1], desc[2])?;
+                        self.shm.with_bytes(offset, len, |bytes| {
                             sink.on_block(var, iteration, source, bytes)
                         });
                         report.blocks_received += 1;
-                        report.bytes_received += len;
-                        iterations.entry(iteration).or_default().received_writes += 1;
+                        report.bytes_received += len as u64;
                     }
-                    note_end(
-                        &mut iterations,
-                        &mut report,
-                        iteration,
-                        writes,
-                        skipped,
-                        source,
-                    );
-                    try_complete_iteration(
-                        comm,
-                        clients,
-                        &dead,
-                        &mut iterations,
-                        &mut report,
-                        sink,
-                        iteration,
-                    );
-                }
-                Some(KIND_END) => {
-                    let [_, iteration, writes, skipped] = msg[..] else {
-                        return Err(DamarisError::InvalidState(format!(
-                            "malformed end-of-iteration from rank {source}: {msg:?}"
-                        )));
-                    };
-                    // FIFO per (source, tag) guarantees each client's
-                    // unbatched writes precede its END, so everything
-                    // announced has been consumed by the completion check.
-                    note_end(
-                        &mut iterations,
-                        &mut report,
-                        iteration,
-                        writes,
-                        skipped,
-                        source,
-                    );
+                    if skipped != 0 {
+                        report.skipped_client_iterations += 1;
+                    }
+                    iterations.entry(iteration).or_default().insert(source);
                     try_complete_iteration(
                         comm,
                         clients,
@@ -484,6 +452,11 @@ impl ProcessServer {
                             "malformed signal from rank {source}: {msg:?}"
                         )));
                     };
+                    if event_raw >= self.cfg.registry().event_count() as u64 {
+                        return Err(DamarisError::InvalidState(format!(
+                            "rank {source} raised undeclared event id {event_raw}"
+                        )));
+                    }
                     sink.on_signal(EventId::from_raw(event_raw as u32), iteration, source);
                     report.signals_delivered += 1;
                 }
@@ -1010,5 +983,84 @@ impl SimHandle for ProcessHandle<'_> {
 
     fn skipped_iterations(&self) -> u64 {
         self.client.skipped_iterations()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mini_mpi::World;
+
+    const XML: &str = r#"<simulation name="wire">
+        <architecture><buffer size="65536"/></architecture>
+        <data>
+          <layout name="row" type="f64" dimensions="8"/>
+          <variable name="u" layout="row"/>
+        </data>
+      </simulation>"#;
+
+    /// Rank 1 sends `msg`, then its goodbye (so a server that accepts
+    /// `msg` returns instead of waiting); returns what rank 0's serve
+    /// returned. A panic on the dedicated rank fails the calling test.
+    fn serve_crafted(tag: &str, msg: Vec<u64>) -> DamarisResult<ServeReport> {
+        let dir = std::env::temp_dir().join(format!("damaris-wire-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let seg_dir = dir.clone();
+        let out = World::run(2, move |comm| {
+            let cfg = Configuration::from_str(XML).unwrap();
+            if comm.rank() == DEDICATED_RANK {
+                let server = ProcessServer::new(comm, cfg, &seg_dir).unwrap();
+                Some(server.serve(comm, &mut StatsSink::new()))
+            } else {
+                comm.barrier(); // the server created the segment
+                comm.send(DEDICATED_RANK, TAG_MSG, &msg);
+                comm.send(DEDICATED_RANK, TAG_MSG, &[KIND_FIN]);
+                None
+            }
+        });
+        std::fs::remove_dir_all(&dir).ok();
+        out.into_iter().flatten().next().unwrap()
+    }
+
+    fn batch(var: u64, offset: u64, len: u64) -> Vec<u64> {
+        vec![KIND_BATCH, 0, 1, 0, var, offset, len]
+    }
+
+    #[test]
+    fn malformed_descriptors_are_errors_not_panics() {
+        // Control: a well-formed envelope inside rank 1's slice is served.
+        let report = serve_crafted("ok", batch(0, 64, 64)).expect("valid batch");
+        assert_eq!(
+            (report.blocks_received, report.iterations_completed),
+            (1, 1)
+        );
+
+        let slice = 65536;
+        for (tag, msg, needle) in [
+            ("past-slice", batch(0, slice, 64), "outside its slice"),
+            ("wrapping", batch(0, u64::MAX - 7, 64), "outside its slice"),
+            (
+                "undeclared-var",
+                batch(7, 0, 64),
+                "undeclared variable id 7",
+            ),
+            (
+                "undeclared-event",
+                vec![KIND_SIGNAL, 3, 0],
+                "undeclared event id 3",
+            ),
+            (
+                "retired-kind",
+                vec![1, 0, 0, 0, 64],
+                "unknown process-mode message kind",
+            ),
+        ] {
+            match serve_crafted(tag, msg) {
+                Err(DamarisError::InvalidState(m)) => {
+                    assert!(m.contains(needle) && m.contains("rank 1"), "{tag}: {m}")
+                }
+                other => panic!("{tag}: expected InvalidState, got {other:?}"),
+            }
+        }
     }
 }

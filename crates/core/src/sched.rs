@@ -9,7 +9,7 @@
 //! A scheduler is a pure planning function — given when each node's data
 //! became available and an estimate of one node's write duration, it
 //! returns when each node may start. Both the real middleware (delaying
-//! the HDF5 plugin) and the cluster-scale simulator consume the same plan,
+//! a node's writes) and the cluster-scale simulator consume the same plan,
 //! so the laptop-scale and Kraken-scale code paths cannot drift apart.
 
 /// A strategy deciding when each node's dedicated core starts writing.

@@ -15,6 +15,7 @@
 //!     <buffer size="67108864"/>
 //!     <queue capacity="256"/>
 //!     <skip mode="drop-iteration" high-watermark="0.8"/>
+//!     <store type="h5lite" path="out"/>
 //!   </architecture>
 //!   <data>
 //!     <parameter name="nx" value="64"/>
@@ -26,19 +27,20 @@
 //!       <coord name="y" unit="m"/>
 //!       <coord name="z" unit="m"/>
 //!     </mesh>
-//!     <variable name="u" layout="grid3d" mesh="atmosphere" unit="m/s"/>
+//!     <variable name="u" layout="grid3d" mesh="atmosphere" unit="m/s"
+//!               codec="xor-delta4,shuffle4,rle"/>
 //!     <group name="moisture">
 //!       <variable name="qv" layout="grid3d" mesh="atmosphere"/>
 //!     </group>
 //!   </data>
 //!   <actions>
-//!     <action name="dump" plugin="hdf5" event="end-of-iteration" frequency="1"/>
-//!     <action name="pack" plugin="compress" event="end-of-iteration">
-//!       <param name="pipeline" value="xor-delta,rle"/>
-//!     </action>
+//!     <action name="summary" plugin="stats" event="end-of-iteration" frequency="1"/>
 //!   </actions>
 //! </simulation>
 //! ```
+//!
+//! `<store>` is the only path to disk: the dedicated core compresses each
+//! variable with its `codec` and appends it to one file per node.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -238,7 +240,7 @@ pub struct Variable {
     pub unit: Option<String>,
     /// Value centering on the mesh.
     pub centering: Centering,
-    /// Whether this variable is stored by the HDF5 plugin (default true).
+    /// Whether the `<store>` pipeline persists this variable (default true).
     pub store: bool,
     /// Compression pipeline spec for storage plugins
     /// (`codec="xor-delta8,shuffle8,rle"`), validated against

@@ -7,18 +7,16 @@
 //! * file-per-process (synchronous, one file per rank per dump),
 //! * collective two-phase (synchronous, one shared file per dump),
 //! * Damaris (asynchronous: 7 compute clients + 1 dedicated core, one
-//!   node file per dump, compression in the dedicated core's spare time).
+//!   file per node via `<store>`, compression in the dedicated core's
+//!   spare time).
 //!
 //! The program prints what the *simulation* saw: per-iteration write cost,
 //! total run time, files produced, bytes stored.
 //!
 //! Run with: `cargo run --release --example cm1_damaris`
 
-use std::sync::Arc;
-
 use damaris::apps::{Cm1, Cm1Config, ProxyApp};
 use damaris::core::baseline;
-use damaris::core::plugins::{CompressPlugin, H5Writer};
 use damaris::core::prelude::*;
 use damaris::mpi::World;
 
@@ -27,9 +25,9 @@ const NY: usize = 48;
 const NZ: usize = 24;
 const ITERATIONS: u64 = 4;
 
-fn config(clients: usize) -> String {
-    // Five variables per client, one layout.
-    let _ = clients;
+fn config() -> String {
+    // Five variables per client, one layout, one codec.
+    const CODEC: &str = "xor-delta8,shuffle8,rle,lzss";
     format!(
         r#"<simulation name="cm1">
              <architecture>
@@ -37,6 +35,7 @@ fn config(clients: usize) -> String {
                <buffer size="{}"/>
                <queue capacity="512"/>
                <skip mode="block" high-watermark="0.95"/>
+               <store type="h5lite"/>
              </architecture>
              <data>
                <layout name="vol" type="f64" dimensions="{NZ},{NY},{NX}"/>
@@ -45,18 +44,12 @@ fn config(clients: usize) -> String {
                  <coord name="y" unit="m"/>
                  <coord name="z" unit="m"/>
                </mesh>
-               <variable name="u" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="v" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="w" layout="vol" mesh="atmosphere" unit="m/s"/>
-               <variable name="theta" layout="vol" mesh="atmosphere" unit="K"/>
-               <variable name="qv" layout="vol" mesh="atmosphere" unit="kg/kg"/>
+               <variable name="u" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="v" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="w" layout="vol" mesh="atmosphere" unit="m/s" codec="{CODEC}"/>
+               <variable name="theta" layout="vol" mesh="atmosphere" unit="K" codec="{CODEC}"/>
+               <variable name="qv" layout="vol" mesh="atmosphere" unit="kg/kg" codec="{CODEC}"/>
              </data>
-             <actions>
-               <action name="dump" plugin="hdf5" event="end-of-iteration">
-                 <param name="codec" value="xor-delta8,shuffle8,rle,lzss"/>
-               </action>
-               <action name="pack" plugin="compress" event="end-of-iteration"/>
-             </actions>
            </simulation>"#,
         64 << 20
     )
@@ -95,16 +88,12 @@ fn run_rank<H: SimHandle>(h: &mut H) -> ClientStats {
 fn damaris_run(out: &std::path::Path) {
     let clients = 7usize; // 8 cores: 7 compute + 1 dedicated
     let node = DamarisNode::builder()
-        .config_str(&config(clients))
+        .config_str(&config())
         .expect("valid config")
         .clients(clients)
         .output_dir(out)
         .build()
         .expect("node starts");
-    let h5 = Arc::new(H5Writer::new());
-    let pack = Arc::new(CompressPlugin::new());
-    node.register_plugin(h5.clone());
-    node.register_plugin(pack.clone());
 
     let t0 = std::time::Instant::now();
     let handles: Vec<_> = node
@@ -129,7 +118,10 @@ fn damaris_run(out: &std::path::Path) {
         .iter()
         .map(|s| s.max_write_seconds)
         .fold(0.0, f64::max);
-    let (logical, stored) = h5.totals();
+    let storage = node.storage_stats().expect("<store> is declared");
+    let logical = storage.raw_bytes;
+    let file = out.join("cm1_node0.dh5");
+    let stored = std::fs::metadata(&file).expect("node file written").len();
     println!("--- damaris (7 compute + 1 dedicated) ---");
     println!(
         "wall: {wall:.2}s  iterations: {}",
@@ -145,13 +137,12 @@ fn damaris_run(out: &std::path::Path) {
         worst_write_s * 1e3
     );
     println!(
-        "files: {} (one per node per dump)  bytes: {logical} logical → {stored} stored ({:.1}:1)",
-        h5.written().len(),
-        logical as f64 / stored.max(1) as f64
+        "files: 1 (one per node)  datasets: {}  bytes: {logical} logical → {stored} on disk",
+        storage.datasets
     );
     println!(
         "spare-time compression ratio: {:.1}:1  dedicated idle: {:.0} %",
-        pack.overall_ratio(),
+        logical as f64 / stored.max(1) as f64,
         report.dedicated_idle_fraction * 100.0
     );
 }

@@ -2,15 +2,15 @@
 //!
 //! One SMP "node" with 3 compute cores (threads) and 1 dedicated core.
 //! Each compute core writes a temperature grid every iteration — one line
-//! of instrumentation per variable — and the dedicated core aggregates all
-//! blocks into one HDF5-like file per iteration, entirely off the
-//! simulation's critical path.
+//! of instrumentation per variable — and the dedicated core compresses
+//! and aggregates all blocks into one HDF5-like file for the node
+//! (`<store>`), entirely off the simulation's critical path.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use std::sync::Arc;
 
-use damaris::core::plugins::{H5Writer, StatsPlugin};
+use damaris::core::plugins::StatsPlugin;
 use damaris::core::prelude::*;
 
 const CONFIG: &str = r#"
@@ -19,6 +19,7 @@ const CONFIG: &str = r#"
     <dedicated cores="1"/>
     <buffer size="8388608"/>
     <queue capacity="256"/>
+    <store type="h5lite"/>
   </architecture>
   <data>
     <parameter name="n" value="64"/>
@@ -27,13 +28,9 @@ const CONFIG: &str = r#"
       <coord name="x" unit="m"/>
       <coord name="y" unit="m"/>
     </mesh>
-    <variable name="temperature" layout="grid" mesh="plane" unit="K"/>
+    <variable name="temperature" layout="grid" mesh="plane" unit="K"
+              codec="xor-delta8,shuffle8,rle"/>
   </data>
-  <actions>
-    <action name="dump" plugin="hdf5" event="end-of-iteration" frequency="1">
-      <param name="codec" value="xor-delta8,shuffle8,rle"/>
-    </action>
-  </actions>
 </simulation>"#;
 
 fn main() {
@@ -46,11 +43,9 @@ fn main() {
         .build()
         .expect("node starts");
 
-    // The HDF5 writer is auto-registered from the <actions> section; add a
+    // The storage pipeline is auto-registered from <store>; add a
     // statistics plugin to show multiple services sharing the dedicated core.
-    let h5 = Arc::new(H5Writer::new());
     let stats = Arc::new(StatsPlugin::new());
-    node.register_plugin(h5.clone());
     node.register_plugin(stats.clone());
 
     let iterations = 5u64;
@@ -104,15 +99,16 @@ fn main() {
             s.p99_write_seconds() * 1e3
         );
     }
-    for f in h5.written() {
-        println!(
-            "wrote {:?}: {} datasets, {} B logical → {} B stored",
-            f.path.file_name().expect("named file"),
-            f.datasets,
-            f.logical_bytes,
-            f.stored_bytes
-        );
-    }
+    let storage = node.storage_stats().expect("<store> is declared");
+    let file = out_dir.join("quickstart_node0.dh5");
+    let stored = std::fs::metadata(&file).expect("node file written").len();
+    println!(
+        "wrote {:?}: {} datasets over {} iterations, {} B logical → {stored} B on disk",
+        file.file_name().expect("named file"),
+        storage.datasets,
+        storage.iterations,
+        storage.raw_bytes,
+    );
     let last = stats
         .summary(iterations - 1, "temperature")
         .expect("stats ran");

@@ -11,16 +11,16 @@
 //! cores publish variables into a node-local shared-memory segment (a single
 //! memcpy, ~0.1 s) and post an event to a shared message queue; the dedicated
 //! core drains the queue asynchronously, aggregates the node's blocks into
-//! one file per node, and runs user plugins (HDF5 output, compression,
-//! statistics, in-situ visualization) fully overlapped with the next compute
-//! phase.
+//! one file per node (the `<store>` storage pipeline, with per-variable
+//! compression), and runs user plugins (statistics, in-situ visualization)
+//! fully overlapped with the next compute phase.
 //!
 //! This facade crate re-exports the whole workspace:
 //!
 //! * [`shm`] — shared-memory segment, block allocator, message queue.
 //! * [`mpi`] — `mini-mpi`, an in-process MPI-like runtime (thread ranks).
 //! * [`xml`] — minimal XML parser + the Damaris configuration schema.
-//! * [`codec`] — compression codecs used by the compression plugin.
+//! * [`codec`] — compression codecs used by the `<store>` storage pipeline.
 //! * [`h5`] — `h5lite`, an HDF5-like hierarchical file format.
 //! * [`core`] — the middleware itself: client API, dedicated-core server,
 //!   plugins, iteration-skip policy, I/O schedulers, synchronous baselines.
