@@ -33,12 +33,13 @@ use std::sync::Arc;
 use damaris_xml::schema::Configuration;
 use damaris_xml::VarId;
 use mini_mpi::World;
+use parking_lot::Mutex;
 
 use crate::client::{ClientStats, DamarisClient, WriteStatus};
 use crate::error::{DamarisError, DamarisResult};
 use crate::node::DamarisNode;
-use crate::plugins::{FnPlugin, Plugin, ServeSink, StorageSink};
-use crate::process::{DigestSink, ProcessHandle, ProcessServer, ProcessSink, DEDICATED_RANK};
+use crate::plugins::{IterationCtx, Plugin, PluginSet};
+use crate::process::{ProcessHandle, ProcessServer, ProcessSink, DEDICATED_RANK};
 
 // ---------------------------------------------------------------------------
 // Shared validation (used by both backends)
@@ -121,6 +122,52 @@ pub(crate) fn block_digest(var: u64, iteration: u64, client: u64, data: &[u8]) -
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// The launcher's digest of every block of every completed iteration
+/// ([`SimReport::data_digest`]), registered in both worlds.
+#[derive(Default)]
+struct DigestPlugin(AtomicU64);
+
+impl Plugin for DigestPlugin {
+    fn name(&self) -> &str {
+        "__launch-digest"
+    }
+
+    fn on_iteration(&self, ctx: &IterationCtx<'_>) -> Result<(), String> {
+        let sum = ctx.blocks.iter().fold(0u64, |sum, b| {
+            sum.wrapping_add(block_digest(
+                b.variable.index() as u64,
+                b.iteration,
+                b.source as u64,
+                b.data.as_slice(),
+            ))
+        });
+        self.0.fetch_add(sum, Ordering::Relaxed);
+        Ok(())
+    }
+}
+
+/// Runs a [`ProcessSink`] as a plugin: every block of a completed
+/// iteration, then the completion itself.
+struct SinkPlugin<S> {
+    name: String,
+    sink: Mutex<S>,
+}
+
+impl<S: ProcessSink + Send> Plugin for SinkPlugin<S> {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_iteration(&self, ctx: &IterationCtx<'_>) -> Result<(), String> {
+        let mut sink = self.sink.lock();
+        for b in ctx.blocks {
+            sink.on_block(b.variable, b.iteration, b.source, b.data.as_slice());
+        }
+        sink.on_iteration_complete(ctx.iteration);
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -447,9 +494,8 @@ impl<'a> Damaris<'a> {
             .launch(sim)
     }
 
-    /// Start configuring a launch: attach custom plugins (thread world)
-    /// and sink factories (process world) before running the simulation.
-    /// See [`Launcher`].
+    /// Start configuring a launch: attach custom plugins before running
+    /// the simulation. See [`Launcher`].
     pub fn launcher(cfg: Configuration, program: &str) -> Launcher {
         Launcher {
             cfg,
@@ -457,31 +503,30 @@ impl<'a> Damaris<'a> {
             input: Vec::new(),
             test_harness: false,
             plugins: Vec::new(),
-            sinks: Vec::new(),
         }
     }
 }
 
-/// A factory producing one process-mode sink per launch (the dedicated
-/// core may live in a re-executed child, so sinks travel as closures that
-/// build them there, not as instances).
-type SinkFactory = Box<dyn Fn() -> Box<dyn ProcessSink> + Send + Sync>;
+/// A factory producing one plugin per launch (the dedicated core may live
+/// in a re-executed child, so plugins travel as closures that build them
+/// there, not as instances).
+type PluginFactory = Box<dyn Fn() -> Arc<dyn Plugin> + Send + Sync>;
 
 /// Configured [`Damaris::launch`]: the one construction point extended
-/// with custom data-management services for either world.
+/// with custom data-management services, the same in either world.
 ///
-/// * [`Launcher::with_plugin`] registers a [`Plugin`] on the thread-mode
-///   node — the dedicated-core services of `<world kind="threads"/>`.
-/// * [`Launcher::with_sink`] registers a [`ProcessSink`] factory fanned
-///   out on the process-mode dedicated core (rank 0 of
-///   `<world kind="processes"/>`). Factories, not instances: the
-///   dedicated core is a re-executed child, which rebuilds this
-///   `Launcher` identically and constructs the sink there.
+/// * [`Launcher::with_plugin`] registers a [`Plugin`] factory on the
+///   dedicated core — a thread of `<world kind="threads"/>`, or rank 0 of
+///   `<world kind="processes"/>`. Factories, not instances: the process
+///   world's dedicated core is a re-executed child, which rebuilds this
+///   `Launcher` identically and constructs the plugin there.
+/// * [`Launcher::with_sink`] does the same for a per-block
+///   [`ProcessSink`], through a small adapter plugin.
 ///
-/// Whichever set does not match `<world kind="…"/>` is ignored, so one
-/// call site can carry both and run unmodified on either world. A
-/// declared `<store>` wires the storage pipeline automatically in both
-/// worlds — no builder call needed.
+/// Built-ins come from the configuration in both worlds (a declared
+/// `<store>` wires the storage pipeline, `<serve>` the streaming tier) —
+/// no builder call needed. A plugin failure fails the launch with
+/// [`DamarisError::InvalidState`] naming every collected error.
 ///
 /// ```no_run
 /// use damaris_core::prelude::*;
@@ -489,8 +534,7 @@ type SinkFactory = Box<dyn Fn() -> Box<dyn ProcessSink> + Send + Sync>;
 ///
 /// let cfg = Configuration::from_str("<simulation name=\"s\"/>").unwrap();
 /// let report = Damaris::launcher(cfg, "my-sim")
-///     .with_plugin(Arc::new(StatsPlugin::new()))
-///     .with_sink(StatsSink::default)
+///     .with_plugin(|| Arc::new(StatsPlugin::new()))
 ///     .launch(|h, _| {
 ///         h.finalize().unwrap();
 ///         Vec::new()
@@ -503,8 +547,7 @@ pub struct Launcher {
     program: String,
     input: Vec<u8>,
     test_harness: bool,
-    plugins: Vec<Arc<dyn Plugin>>,
-    sinks: Vec<SinkFactory>,
+    plugins: Vec<PluginFactory>,
 }
 
 impl Launcher {
@@ -523,24 +566,35 @@ impl Launcher {
         self
     }
 
-    /// Register a data-management plugin on the thread-mode node
-    /// (replaces any auto-registered built-in of the same name; ignored
-    /// by process worlds).
-    pub fn with_plugin(mut self, plugin: Arc<dyn Plugin>) -> Self {
-        self.plugins.push(plugin);
+    /// Register a data-management plugin factory, called once per launch
+    /// on the dedicated core's side in either world. The plugin replaces
+    /// any auto-registered built-in of the same name; plugins fire in
+    /// registration order, after the built-ins.
+    pub fn with_plugin<P, G>(mut self, make: G) -> Self
+    where
+        P: Plugin + 'static,
+        G: Fn() -> Arc<P> + Send + Sync + 'static,
+    {
+        self.plugins
+            .push(Box::new(move || make() as Arc<dyn Plugin>));
         self
     }
 
-    /// Register a sink factory for the process-mode dedicated core; every
-    /// registered sink sees each block and iteration boundary, after the
-    /// built-in digest (and storage, when `<store>` is declared). Ignored
-    /// by thread worlds.
+    /// Register a per-block sink factory: the sink sees every block of
+    /// each completed iteration, then the completion, in either world
+    /// (an adapter plugin, fired after the built-ins).
     pub fn with_sink<S, G>(mut self, make: G) -> Self
     where
-        S: ProcessSink + 'static,
+        S: ProcessSink + Send + 'static,
         G: Fn() -> S + Send + Sync + 'static,
     {
-        self.sinks.push(Box::new(move || Box::new(make())));
+        let name = format!("__launch-sink-{}", self.plugins.len());
+        self.plugins.push(Box::new(move || {
+            Arc::new(SinkPlugin {
+                name: name.clone(),
+                sink: Mutex::new(make()),
+            })
+        }));
         self
     }
 
@@ -559,7 +613,7 @@ impl Launcher {
                 &self.program,
                 &self.input,
                 self.test_harness,
-                &self.sinks,
+                &self.plugins,
                 sim,
             ),
         }
@@ -737,34 +791,32 @@ fn decode_wire(wire: &[u8]) -> (Configuration, &[u8]) {
     (cfg, &wire[8 + len..])
 }
 
+/// The launch's outcome once every plugin error is accounted for.
+fn plugin_errors_fail(errors: &[String]) -> DamarisResult<()> {
+    if errors.is_empty() {
+        return Ok(());
+    }
+    Err(DamarisError::InvalidState(format!(
+        "plugin errors: {}",
+        errors.join("; ")
+    )))
+}
+
 fn launch_threads<F>(
     cfg: Configuration,
     input: &[u8],
-    plugins: &[Arc<dyn Plugin>],
+    plugins: &[PluginFactory],
     sim: F,
 ) -> DamarisResult<SimReport>
 where
     F: Fn(&mut Damaris<'_>, &[u8]) -> Vec<u8> + Send + Sync,
 {
     let node = DamarisNode::builder().config(cfg).build()?;
-    for plugin in plugins {
-        node.register_plugin(plugin.clone());
+    let digest = Arc::new(DigestPlugin::default());
+    node.register_plugin(digest.clone());
+    for make in plugins {
+        node.register_plugin(make());
     }
-    let digest = Arc::new(AtomicU64::new(0));
-    let d = digest.clone();
-    node.register_plugin(Arc::new(FnPlugin::new("__launch-digest", move |ctx| {
-        let mut sum = 0u64;
-        for b in ctx.blocks {
-            sum = sum.wrapping_add(block_digest(
-                b.variable.index() as u64,
-                b.iteration,
-                b.source as u64,
-                b.data.as_slice(),
-            ));
-        }
-        d.fetch_add(sum, Ordering::Relaxed);
-        Ok(())
-    })));
     let sim = &sim;
     let outputs: Vec<Vec<u8>> = std::thread::scope(|scope| {
         let handles: Vec<_> = node
@@ -787,6 +839,7 @@ where
     })
     .map_err(|_| DamarisError::InvalidState("a simulation client thread panicked".into()))?;
     let report = node.shutdown()?;
+    plugin_errors_fail(&report.plugin_errors)?;
     Ok(SimReport {
         outputs,
         iterations_completed: report.iterations_completed,
@@ -794,61 +847,10 @@ where
         signals_delivered: report.signals_delivered,
         blocks_received: report.blocks_received,
         bytes_received: report.bytes_received,
-        data_digest: digest.load(Ordering::Relaxed),
+        data_digest: digest.0.load(Ordering::Relaxed),
         dead_ranks: Vec::new(),
         degraded: false,
     })
-}
-
-/// Fans every server callback out to the built-in digest, the optional
-/// storage pipeline, the optional streaming tier, and any user sinks, in
-/// that order.
-struct FanoutSink<'a> {
-    digest: &'a mut DigestSink,
-    storage: Option<&'a mut StorageSink>,
-    serve: Option<&'a mut ServeSink>,
-    extras: &'a mut [Box<dyn ProcessSink>],
-}
-
-impl ProcessSink for FanoutSink<'_> {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        self.digest.on_block(var, iteration, source, data);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_block(var, iteration, source, data);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_block(var, iteration, source, data);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_block(var, iteration, source, data);
-        }
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        self.digest.on_iteration_complete(iteration);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_iteration_complete(iteration);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_iteration_complete(iteration);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_iteration_complete(iteration);
-        }
-    }
-
-    fn on_signal(&mut self, event: damaris_xml::EventId, iteration: u64, source: usize) {
-        self.digest.on_signal(event, iteration, source);
-        if let Some(s) = self.storage.as_mut() {
-            s.on_signal(event, iteration, source);
-        }
-        if let Some(s) = self.serve.as_mut() {
-            s.on_signal(event, iteration, source);
-        }
-        for e in self.extras.iter_mut() {
-            e.on_signal(event, iteration, source);
-        }
-    }
 }
 
 fn launch_processes<F>(
@@ -856,7 +858,7 @@ fn launch_processes<F>(
     program: &str,
     input: &[u8],
     test_harness: bool,
-    sinks: &[SinkFactory],
+    plugins: &[PluginFactory],
     sim: F,
 ) -> DamarisResult<SimReport>
 where
@@ -868,61 +870,41 @@ where
         // All rank behaviour derives from the wire bytes: in a
         // re-executed child the surrounding scope's captures (cfg,
         // input) may belong to a *different* invocation of the caller.
-        // (The sink factories are safe to use: the child re-executes the
-        // same call site, reconstructing an identical `Launcher`.)
+        // (The plugin factories are safe to use: the child re-executes
+        // the same call site, reconstructing an identical `Launcher`.)
         let (cfg, input) = decode_wire(wire);
         let dir = World::spawn_dir().expect("rank runs inside a spawned world");
         if comm.rank() == DEDICATED_RANK {
-            // A declared <store> wires the storage pipeline onto the
-            // dedicated core, exactly like the thread world's
-            // auto-registered StoragePlugin (node id 0; files land in
-            // the spawn dir unless <store path> says otherwise).
-            let mut storage = if cfg.architecture.store.is_some() {
-                Some(StorageSink::new(&cfg, 0, &dir).expect("storage pipeline starts"))
-            } else {
-                None
-            };
-            // A declared <serve> runs the streaming tier on the dedicated
-            // rank, mirroring the thread world's ServePlugin.
-            let mut serve = if cfg.architecture.serve.is_some() {
-                Some(ServeSink::new(&cfg, &dir).expect("streaming tier starts"))
-            } else {
-                None
-            };
+            // The thread world's node set, except that the digest comes
+            // first: hashing every byte here, before the serve tier
+            // publishes, keeps it off the CPU the subscriber sends share.
+            // Built-ins use node id 0; files land in the spawn dir unless
+            // <store path> says otherwise.
+            let set = PluginSet::new(cfg.clone(), 0, &dir);
+            let digest = Arc::new(DigestPlugin::default());
+            set.register(digest.clone());
+            set.register_builtins()
+                .expect("dedicated core's plugins start");
+            for make in plugins {
+                set.register(make());
+            }
             let server = ProcessServer::new(comm, cfg, &dir).expect("dedicated core starts");
-            let mut sink = DigestSink::default();
-            let mut extras: Vec<Box<dyn ProcessSink>> = sinks.iter().map(|f| f()).collect();
-            let mut fanout = FanoutSink {
-                digest: &mut sink,
-                storage: storage.as_mut(),
-                serve: serve.as_mut(),
-                extras: &mut extras,
-            };
-            let report = server
-                .serve(comm, &mut fanout)
-                .expect("dedicated core serves");
-            if let Some(mut s) = storage {
-                s.finish().expect("storage pipeline finishes");
-                assert!(
-                    s.errors().is_empty(),
-                    "storage pipeline errors: {:?}",
-                    s.errors()
-                );
-            }
-            if let Some(mut s) = serve {
-                s.finish();
-            }
+            let report = server.serve(comm, &set).expect("dedicated core serves");
+            set.finalize();
             let mut words = vec![
                 report.iterations_completed,
                 report.skipped_client_iterations,
                 report.signals_delivered,
                 report.blocks_received,
                 report.bytes_received,
-                sink.digest(),
+                digest.0.load(Ordering::Relaxed),
                 report.dead_ranks.len() as u64,
             ];
             words.extend(report.dead_ranks.iter().map(|&r| r as u64));
-            words.iter().flat_map(|w| w.to_le_bytes()).collect()
+            // Plugin errors follow the words, one per line.
+            let mut bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            bytes.extend(set.errors().join("\n").into_bytes());
+            bytes
         } else {
             let handle = ProcessHandle::new(comm, cfg, &dir).expect("client joins the node");
             let mut h = Damaris::processes(handle);
@@ -949,15 +931,18 @@ where
             outcome.failures.join("; ")
         ))
     })?;
-    let words: Vec<u64> = server
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
-    if words.len() < 7 || words.len() != 7 + words[6] as usize {
+    let word = |i: usize| {
+        let chunk = server.get(i * 8..i * 8 + 8)?;
+        Some(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
+    };
+    let n_words = word(6).and_then(|dead| 7usize.checked_add(usize::try_from(dead).ok()?));
+    let Some(words) = n_words.and_then(|n| (0..n).map(word).collect::<Option<Vec<u64>>>()) else {
         return Err(DamarisError::InvalidState(
             "malformed dedicated-core report".into(),
         ));
-    }
+    };
+    let errors = String::from_utf8_lossy(&server[words.len() * 8..]);
+    let errors: Vec<String> = errors.lines().map(str::to_string).collect();
     let [iterations_completed, skipped_client_iterations, signals_delivered, blocks_received, bytes_received, data_digest, _dead_count] =
         words[..7]
     else {
@@ -987,6 +972,7 @@ where
                 .join("; ")
         )));
     }
+    plugin_errors_fail(&errors)?;
     // Dead clients have no output; keep client order with empty slots.
     let outputs: Vec<Vec<u8>> = results.into_iter().map(Option::unwrap_or_default).collect();
     Ok(SimReport {

@@ -27,8 +27,8 @@
 //!   as clients scale;
 //! * one or a few dedicated cores run [`server::server_loop`] event loops
 //!   over their transport consumer handle: they index incoming blocks in a
-//!   [`store::VariableStore`], detect iteration completion, and fire
-//!   [`plugins`] (the `<store>` storage pipeline — compression into one
+//!   [`store::VariableStore`], detect iteration completion, and fire the
+//!   node's [`plugins`] (the `<store>` storage pipeline — compression into one
 //!   h5lite file per node — statistics, in-situ analysis) — all
 //!   overlapped with the simulation's next compute phase;
 //! * when plugins cannot keep up and memory pressure rises, the
@@ -112,9 +112,7 @@ pub use client::{DamarisClient, WriteStatus};
 pub use error::{DamarisError, DamarisResult};
 pub use facade::{Damaris, DamarisWriter, Launcher, SimHandle, SimReport, SimWriter};
 pub use node::{DamarisNode, NodeBuilder};
-pub use plugins::{
-    Plugin, ServePlugin, ServeSink, StorageEngine, StoragePlugin, StorageSink, StorageStats,
-};
+pub use plugins::{Plugin, PluginSet, ServePlugin, StorageEngine, StoragePlugin, StorageStats};
 pub use process::{ProcessClient, ProcessHandle, ProcessServer, ProcessSink};
 
 /// One-stop imports for applications embedding Damaris.
@@ -124,10 +122,10 @@ pub mod prelude {
     pub use crate::facade::{Damaris, DamarisWriter, Launcher, SimHandle, SimReport, SimWriter};
     pub use crate::node::{DamarisNode, NodeBuilder};
     pub use crate::plugins::{
-        FnPlugin, Plugin, ServePlugin, ServeSink, StatsPlugin, StorageEngine, StoragePlugin,
-        StorageSink, StorageStats,
+        FnPlugin, Plugin, PluginSet, ServePlugin, StatsPlugin, StorageEngine, StoragePlugin,
+        StorageStats,
     };
-    pub use crate::process::{ProcessClient, ProcessHandle, ProcessServer, ProcessSink, StatsSink};
+    pub use crate::process::{ProcessClient, ProcessHandle, ProcessServer, ProcessSink};
     pub use damaris_xml::schema::Configuration;
     pub use damaris_xml::{EventId, VarId};
 }

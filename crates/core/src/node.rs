@@ -20,7 +20,7 @@ use parking_lot::Mutex;
 use crate::client::{DamarisClient, StatsRecorder};
 use crate::error::{DamarisError, DamarisResult};
 use crate::event::Event;
-use crate::plugins::{Plugin, ServePlugin, StatsPlugin, StoragePlugin};
+use crate::plugins::Plugin;
 use crate::policy::SkipPolicy;
 use crate::server::{server_loop, ServerShared};
 
@@ -150,53 +150,12 @@ impl NodeBuilder {
         let transport: AnyTransport<Event> =
             AnyTransport::for_kind(kind, n_clients, cfg.architecture.queue_capacity);
 
-        let shared = Arc::new(ServerShared::new(
-            cfg.clone(),
-            self.node_id,
-            n_clients,
-            output_dir.clone(),
-        ));
-        // Auto-register built-in plugins. A declared `<store>` drives the
-        // storage pipeline regardless of `<action>` blocks (registered
-        // first, so the action loop's existence check never duplicates
-        // it); the others are pulled in by the actions referencing them.
-        let mut storage: Option<Arc<StoragePlugin>> = None;
-        let mut serve: Option<Arc<ServePlugin>> = None;
-        {
-            let mut plugins = shared.plugins.write();
-            if cfg.architecture.store.is_some() {
-                let plugin = Arc::new(
-                    StoragePlugin::new(&cfg, self.node_id, &output_dir)
-                        .map_err(DamarisError::InvalidState)?,
-                );
-                storage = Some(plugin.clone());
-                plugins.push(plugin);
-            }
-            if cfg.architecture.serve.is_some() {
-                let plugin = Arc::new(
-                    ServePlugin::new(&cfg, &output_dir).map_err(DamarisError::InvalidState)?,
-                );
-                serve = Some(plugin.clone());
-                plugins.push(plugin);
-            }
-            for action in &cfg.actions {
-                let exists = plugins.iter().any(|p| p.name() == action.plugin);
-                if exists {
-                    continue;
-                }
-                let builtin: Option<Arc<dyn Plugin>> = match action.plugin.as_str() {
-                    "stats" => Some(Arc::new(StatsPlugin::new())),
-                    "storage" => Some(Arc::new(
-                        StoragePlugin::new(&cfg, self.node_id, &output_dir)
-                            .map_err(DamarisError::InvalidState)?,
-                    )),
-                    _ => None,
-                };
-                if let Some(p) = builtin {
-                    plugins.push(p);
-                }
-            }
-        }
+        // Built-in plugins (`<store>`, `<serve>`, actions naming a
+        // built-in) are registered by the node's plugin set.
+        let shared = Arc::new(
+            ServerShared::new(cfg.clone(), self.node_id, n_clients, output_dir.clone())
+                .map_err(DamarisError::InvalidState)?,
+        );
 
         let n_cores = cfg.architecture.dedicated_cores;
         let mut server_handles = Vec::new();
@@ -249,8 +208,6 @@ impl NodeBuilder {
             server_handles: Mutex::new(server_handles),
             clients,
             output_dir,
-            storage,
-            serve,
         })
     }
 }
@@ -290,12 +247,6 @@ pub struct DamarisNode<C: EventChannel<Event> = AnyTransport<Event>> {
     server_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
     clients: Vec<DamarisClient<C>>,
     output_dir: PathBuf,
-    /// The auto-registered storage plugin, when `<store>` is declared —
-    /// kept so callers can observe the pipeline without digging through
-    /// the plugin list.
-    storage: Option<Arc<StoragePlugin>>,
-    /// The auto-registered streaming server, when `<serve>` is declared.
-    serve: Option<Arc<ServePlugin>>,
 }
 
 impl DamarisNode {
@@ -327,12 +278,13 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
         self.clients.get(id).cloned()
     }
 
-    /// Register a data-management plugin (replaces a previous plugin with
-    /// the same name, including auto-registered built-ins).
+    /// Register a data-management plugin. A previous plugin with the same
+    /// name — auto-registered built-ins included — is replaced and
+    /// finalized at once (a replaced `serve` releases its listener); the
+    /// node's accessors for a replaced built-in then return `None`, so
+    /// read the replacement's counters through your own handle.
     pub fn register_plugin(&self, plugin: Arc<dyn Plugin>) {
-        let mut plugins = self.shared.plugins.write();
-        plugins.retain(|p| p.name() != plugin.name());
-        plugins.push(plugin);
+        self.shared.plugins.register(plugin);
     }
 
     /// Current shared-segment occupancy in `[0, 1]`.
@@ -342,23 +294,25 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
 
     /// Counter snapshot of the auto-registered storage pipeline — the
     /// per-stage timings ([`crate::plugins::StorageStats`]) that make the
-    /// encode/write overlap observable. `None` when the configuration
-    /// declares no `<store>`.
+    /// encode/write overlap observable. `None` when no storage plugin was
+    /// auto-registered, or it was replaced.
     pub fn storage_stats(&self) -> Option<crate::plugins::StorageStats> {
-        self.storage.as_ref().map(|s| s.stats())
+        self.shared.plugins.storage().map(|s| s.stats())
     }
 
     /// Counter snapshot of the auto-registered streaming server
     /// (subscribers, frames, lag events, publish-path timings). `None`
-    /// when the configuration declares no `<serve>`.
+    /// when the configuration declares no `<serve>`, or the built-in was
+    /// replaced.
     pub fn serve_stats(&self) -> Option<damaris_serve::ServeStats> {
-        self.serve.as_ref().map(|s| s.stats())
+        self.shared.plugins.serve().map(|s| s.stats())
     }
 
     /// Bound address of the streaming server (resolves an ephemeral
-    /// `listen="…:0"` port). `None` without a `<serve>` element.
+    /// `listen="…:0"` port). `None` without a `<serve>` element, or once
+    /// the built-in was replaced.
     pub fn serve_addr(&self) -> Option<std::net::SocketAddr> {
-        self.serve.as_ref().map(|s| s.local_addr())
+        self.shared.plugins.serve().map(|s| s.local_addr())
     }
 
     /// Lifetime counters of the shared segment (allocations, class hits,
@@ -409,14 +363,7 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
         }
         // Let plugins close their long-lived resources (the storage
         // pipeline finishes and syncs its per-node file here).
-        for plugin in self.shared.plugins.read().iter() {
-            if let Err(msg) = plugin.on_finalize() {
-                self.shared
-                    .errors
-                    .lock()
-                    .push(format!("plugin '{}' at finalize: {msg}", plugin.name()));
-            }
-        }
+        self.shared.plugins.finalize();
         Ok(NodeReport {
             iterations_completed: self
                 .shared
@@ -438,7 +385,7 @@ impl<C: EventChannel<Event>> DamarisNode<C> {
                 .shared
                 .bytes_received
                 .load(std::sync::atomic::Ordering::Relaxed),
-            plugin_errors: self.shared.errors.lock().clone(),
+            plugin_errors: self.shared.plugins.errors(),
             dedicated_idle_fraction: self.shared.idle_fraction(),
             peak_segment_bytes: self.segment.stats().peak,
         })
@@ -936,5 +883,48 @@ mod tests {
             "replaced plugin never fires"
         );
         assert_eq!(second.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn replacing_a_builtin_finalizes_it_and_clears_its_handle() {
+        use crate::plugins::{ServePlugin, StoragePlugin};
+        let dir = std::env::temp_dir().join(format!("damaris-replace-{}", std::process::id()));
+        let xml = XML.replace(
+            "</architecture>",
+            r#"<store type="h5lite" sync="false"/><serve listen="127.0.0.1:0"/></architecture>"#,
+        );
+        let node = DamarisNode::builder()
+            .config_str(&xml)
+            .unwrap()
+            .clients(1)
+            .output_dir(&dir)
+            .build()
+            .unwrap();
+        let addr = node.serve_addr().expect("built-in serve bound");
+        assert!(node.storage_stats().is_some());
+
+        let storage = Arc::new(StoragePlugin::new(node.config(), 0, &dir).unwrap());
+        node.register_plugin(storage.clone());
+        assert!(node.storage_stats().is_none(), "no stale storage handle");
+        let serve = Arc::new(ServePlugin::new(node.config(), &dir).unwrap());
+        node.register_plugin(serve.clone());
+        assert!(node.serve_addr().is_none(), "no stale serve handle");
+        assert!(node.serve_stats().is_none());
+        // The replaced server was finalized: its port is free again.
+        drop(std::net::TcpListener::bind(addr).expect("old listener released"));
+
+        let client = node.client(0).unwrap();
+        client.write("u", 0, &[1.0f64; 64]).unwrap();
+        client.end_iteration(0).unwrap();
+        client.finalize().unwrap();
+        let report = node.shutdown().unwrap();
+        assert!(
+            report.plugin_errors.is_empty(),
+            "{:?}",
+            report.plugin_errors
+        );
+        assert_eq!(storage.stats().iterations, 1, "replacement stored");
+        assert_eq!(serve.stats().iterations_published, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

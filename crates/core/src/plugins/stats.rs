@@ -166,7 +166,7 @@ mod tests {
                 variable: cfg.registry().var_id("a").unwrap(),
                 source: src,
                 iteration: 2,
-                data: b.freeze(),
+                data: b.freeze().into(),
             });
         }
         // f32 variable.
@@ -176,7 +176,7 @@ mod tests {
             variable: cfg.registry().var_id("b").unwrap(),
             source: 0,
             iteration: 2,
-            data: b.freeze(),
+            data: b.freeze().into(),
         });
         // Integer variable: skipped by the summarizer.
         let mut b = seg.allocate(16).unwrap();
@@ -185,7 +185,7 @@ mod tests {
             variable: cfg.registry().var_id("c").unwrap(),
             source: 0,
             iteration: 2,
-            data: b.freeze(),
+            data: b.freeze().into(),
         });
 
         let plugin = StatsPlugin::new();

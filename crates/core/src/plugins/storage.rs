@@ -19,9 +19,10 @@
 //!   [`codec::ScratchPool`] (steady-state encodes stay allocation-free
 //!   per worker). Results are reassembled in block order before the
 //!   append, so the file is **byte-identical** to the serial engine's.
-//! * **Double-buffered staging**: [`StoragePlugin`] / [`StorageSink`]
-//!   hand the drained block set to the engine's stager thread through a
-//!   rendezvous channel and return immediately — iteration N encodes and
+//! * **Double-buffered staging**: [`StoragePlugin`] hands the completed
+//!   iteration's blocks (refcounted [`damaris_shm::Payload`] clones, no
+//!   byte copy in either world) to the engine's stager thread through a
+//!   rendezvous channel and returns immediately — iteration N encodes and
 //!   writes while the simulation fills N+1. The rendezvous bounds the
 //!   overlap to one in-flight iteration: handing off N+1 blocks until N
 //!   finished, so shared-memory blocks are released at most one
@@ -48,7 +49,6 @@
 //! </data>
 //! ```
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -58,14 +58,13 @@ use std::time::Instant;
 
 use codec::pipeline::{EncodeScratch, ScratchPool};
 use codec::Pipeline;
-use damaris_shm::BlockRef;
 use damaris_xml::schema::Configuration;
 use damaris_xml::VarId;
 use h5lite::{FileStats, FileWriter};
 use parking_lot::Mutex;
 
 use super::{IterationCtx, Plugin};
-use crate::process::ProcessSink;
+use crate::store::StoredBlock;
 
 /// Lifetime counters of one [`StorageEngine`].
 ///
@@ -97,7 +96,7 @@ pub struct StorageStats {
     /// `fsync`s the flusher completed (≤ `flush_requests`: a backlog is
     /// coalesced into one sync).
     pub syncs: u64,
-    /// Nanoseconds the event path (plugin/sink) spent handing iterations
+    /// Nanoseconds the event path (the plugin) spent handing iterations
     /// to the stager — includes the backpressure wait when the previous
     /// iteration is still in flight.
     pub drain_ns: u64,
@@ -378,37 +377,8 @@ impl Drop for EncodePool {
     }
 }
 
-/// A staged block's payload: a zero-copy shared-memory reference in
-/// thread mode, an owned copy in process mode (the socket server only
-/// borrows its mapping during `on_block`).
-pub enum StagedData {
-    /// Shared-segment view; dropping it after the append releases the
-    /// block back to the allocator.
-    Shm(BlockRef),
-    /// Owned copy, recycled through the engine's buffer pool.
-    Owned(Vec<u8>),
-}
-
-impl StagedData {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            StagedData::Shm(b) => b.as_slice(),
-            StagedData::Owned(v) => v,
-        }
-    }
-}
-
-impl std::fmt::Debug for StagedData {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StagedData::Shm(b) => write!(f, "Shm({} bytes)", b.len()),
-            StagedData::Owned(v) => write!(f, "Owned({} bytes)", v.len()),
-        }
-    }
-}
-
 /// One iteration's drained blocks, ordered by `(variable, source)`.
-type StagedSet = Vec<(VarId, usize, StagedData)>;
+type StagedSet = Vec<StoredBlock>;
 
 struct StagedIteration {
     iteration: u64,
@@ -717,9 +687,8 @@ impl Drop for EngineCore {
     }
 }
 
-/// The shared storage implementation behind [`StoragePlugin`] (thread
-/// world) and [`StorageSink`] (process world). See the module docs for
-/// the pipeline it realizes.
+/// The storage implementation behind [`StoragePlugin`]. See the module
+/// docs for the pipeline it realizes.
 pub struct StorageEngine {
     core: Arc<Mutex<EngineCore>>,
     pool: Option<Arc<EncodePool>>,
@@ -732,8 +701,6 @@ pub struct StorageEngine {
     /// `epoch` — how `submit_iteration` tells backpressure from hand-off.
     stager_ready_ns: Arc<AtomicU64>,
     stage_errors: Arc<Mutex<Vec<String>>>,
-    /// Recycled process-mode staging buffers ([`StagedData::Owned`]).
-    spare_bufs: Arc<Mutex<Vec<Vec<u8>>>>,
     /// Recycled staged-set vectors.
     spare_sets: Arc<Mutex<Vec<StagedSet>>>,
     stager: Option<Stager>,
@@ -828,7 +795,6 @@ impl StorageEngine {
             epoch: Instant::now(),
             stager_ready_ns: Arc::new(AtomicU64::new(0)),
             stage_errors: Arc::new(Mutex::new(Vec::new())),
-            spare_bufs: Arc::new(Mutex::new(Vec::new())),
             spare_sets: Arc::new(Mutex::new(Vec::new())),
             stager: None,
         })
@@ -915,7 +881,6 @@ impl StorageEngine {
         let core = self.core.clone();
         let pool = self.pool.clone();
         let errors = self.stage_errors.clone();
-        let spare_bufs = self.spare_bufs.clone();
         let spare_sets = self.spare_sets.clone();
         let epoch = self.epoch;
         let ready_ns = self.stager_ready_ns.clone();
@@ -930,7 +895,7 @@ impl StorageEngine {
                     let views: Vec<(VarId, usize, &[u8])> = staged
                         .blocks
                         .iter()
-                        .map(|(var, source, data)| (*var, *source, data.as_slice()))
+                        .map(|b| (b.variable, b.source, b.data.as_slice()))
                         .collect();
                     let res =
                         core.lock()
@@ -941,14 +906,10 @@ impl StorageEngine {
                             .lock()
                             .push(format!("iteration {}: {e}", staged.iteration));
                     }
-                    // Recycle: owned buffers back to the pool, shm refs
-                    // dropped (releasing the blocks — at most one
-                    // iteration after the serial engine would have).
-                    for (_, _, data) in staged.blocks.drain(..) {
-                        if let StagedData::Owned(buf) = data {
-                            spare_bufs.lock().push(buf);
-                        }
-                    }
+                    // Recycle the set; dropping the payloads releases the
+                    // blocks — at most one iteration after the serial
+                    // engine would have.
+                    staged.blocks.clear();
                     spare_sets.lock().push(staged.blocks);
                     ready();
                 }
@@ -964,14 +925,6 @@ impl StorageEngine {
     /// iteration's hand-off without allocating.
     fn take_staging_set(&self) -> StagedSet {
         self.spare_sets.lock().pop().unwrap_or_default()
-    }
-
-    /// A recycled staging byte buffer (cleared), for process-mode block
-    /// copies.
-    fn take_staging_buf(&self) -> Vec<u8> {
-        let mut buf = self.spare_bufs.lock().pop().unwrap_or_default();
-        buf.clear();
-        buf
     }
 
     /// Close the per-node file: drain the stager, stop the flusher, write
@@ -1006,19 +959,19 @@ impl std::fmt::Debug for StorageEngine {
     }
 }
 
-/// Thread-mode face of the storage pipeline: a [`Plugin`] named
-/// `storage`, fired at every iteration completion on the dedicated core
-/// and finished (footer + fsync) at node shutdown via
+/// The storage pipeline as a [`Plugin`] named `storage`, fired at every
+/// iteration completion on the dedicated core (a thread or the dedicated
+/// rank) and finished (footer + fsync) at shutdown via
 /// [`Plugin::on_finalize`].
 ///
 /// `on_iteration` only *hands off* the iteration (cloning the blocks'
-/// shared-memory refs and passing them to the stager), so the dedicated
+/// refcounted payloads and passing them to the stager), so the dedicated
 /// core's event loop is back to draining queues while the engine encodes
 /// and writes — the overlap [`StorageStats::drain_ns`] versus
 /// [`StorageStats::encode_ns`]`+`[`StorageStats::append_ns`] makes
 /// visible.
 ///
-/// [`crate::NodeBuilder`] registers one automatically when the
+/// [`super::PluginSet::register_builtins`] registers one automatically when the
 /// configuration declares `<store>`; an `<action plugin="storage">` can
 /// thin its firing frequency like any other plugin.
 #[derive(Debug)]
@@ -1056,18 +1009,14 @@ impl Plugin for StoragePlugin {
     }
 
     fn on_iteration(&self, ctx: &IterationCtx<'_>) -> Result<(), String> {
-        // ctx.blocks is ordered by (variable, source); cloning a BlockRef
-        // is one atomic increment, so the drain is a constant-time pass
+        // ctx.blocks is ordered by (variable, source); cloning a payload
+        // is one refcount increment, so the drain is a constant-time pass
         // before the rendezvous hand-off. Empty iterations still go
         // through so the engine's skip counter stays consistent across
         // worlds.
         let mut engine = self.engine.lock();
         let mut set = engine.take_staging_set();
-        set.extend(
-            ctx.blocks
-                .iter()
-                .map(|b| (b.variable, b.source, StagedData::Shm(b.data.clone()))),
-        );
+        set.extend_from_slice(ctx.blocks);
         engine.submit_iteration(ctx.iteration, set)
     }
 
@@ -1076,100 +1025,10 @@ impl Plugin for StoragePlugin {
     }
 }
 
-/// Process-mode face of the storage pipeline: a [`ProcessSink`] staging
-/// each iteration's blocks (copies — the shared mapping is only borrowed
-/// during [`ProcessSink::on_block`]) and handing them to the shared
-/// [`StorageEngine`]'s stager when the iteration completes, sorted by
-/// `(variable, client)` so the file matches the thread world's.
-///
-/// Staging buffers are pooled and reused across iterations; the
-/// one-in-flight bound keeps the pool at roughly two iterations' worth.
-/// Errors are collected ([`StorageSink::errors`]) rather than panicking
-/// the dedicated-core process mid-serve. Call [`StorageSink::finish`]
-/// after [`crate::ProcessServer::serve`] returns.
-pub struct StorageSink {
-    engine: StorageEngine,
-    staged: BTreeMap<u64, StagedSet>,
-    errors: Vec<String>,
-}
-
-impl StorageSink {
-    /// Build over a fresh [`StorageEngine`] (see [`StorageEngine::new`]).
-    pub fn new(cfg: &Configuration, node_id: usize, fallback_dir: &Path) -> Result<Self, String> {
-        Ok(StorageSink {
-            engine: StorageEngine::new(cfg, node_id, fallback_dir)?,
-            staged: BTreeMap::new(),
-            errors: Vec::new(),
-        })
-    }
-
-    /// Counter snapshot of the underlying engine.
-    pub fn stats(&self) -> StorageStats {
-        self.engine.stats()
-    }
-
-    /// Path of this node's file.
-    pub fn file_path(&self) -> PathBuf {
-        self.engine.file_path()
-    }
-
-    /// Errors collected while serving (empty on a clean run).
-    pub fn errors(&self) -> &[String] {
-        &self.errors
-    }
-
-    /// Close the per-node file (see [`StorageEngine::finish`]).
-    pub fn finish(&mut self) -> Result<Option<FileStats>, String> {
-        match self.engine.finish() {
-            Ok(stats) => Ok(stats),
-            Err(e) => {
-                self.errors.push(e.clone());
-                Err(e)
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for StorageSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StorageSink")
-            .field("engine", &self.engine)
-            .field("staged_iterations", &self.staged.len())
-            .field("errors", &self.errors.len())
-            .finish()
-    }
-}
-
-impl ProcessSink for StorageSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        let mut buf = self.engine.take_staging_buf();
-        buf.extend_from_slice(data);
-        let set = self
-            .staged
-            .entry(iteration)
-            .or_insert_with(|| self.engine.take_staging_set());
-        // 1-based world ranks become 0-based client indices, so dataset
-        // names match thread mode.
-        set.push((var, source.saturating_sub(1), StagedData::Owned(buf)));
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        let mut blocks = self
-            .staged
-            .remove(&iteration)
-            .unwrap_or_else(|| self.engine.take_staging_set());
-        blocks.sort_by_key(|&(var, source, _)| (var.raw(), source));
-        if let Err(msg) = self.engine.submit_iteration(iteration, blocks) {
-            self.errors.push(format!("iteration {iteration}: {msg}"));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoredBlock;
-    use damaris_shm::SharedSegment;
+    use damaris_shm::{Payload, SharedSegment};
 
     fn config(extra_arch: &str, extra_vars: &str) -> Configuration {
         Configuration::from_str(&format!(
@@ -1373,8 +1232,14 @@ mod tests {
                 .store_iteration(it, [(u, 0usize, a.as_slice()), (raw, 1usize, b.as_slice())])
                 .unwrap();
             let mut set = sub_engine.take_staging_set();
-            set.push((u, 0, StagedData::Owned(a)));
-            set.push((raw, 1, StagedData::Owned(b)));
+            for (variable, source, bytes) in [(u, 0, a), (raw, 1, b)] {
+                set.push(StoredBlock {
+                    variable,
+                    source,
+                    iteration: it,
+                    data: Payload::Owned(Arc::new(bytes)),
+                });
+            }
             sub_engine.submit_iteration(it, set).unwrap();
         }
         sync_engine.finish().unwrap().unwrap();
@@ -1454,7 +1319,7 @@ mod tests {
             variable: cfg.registry().var_id("u").unwrap(),
             source: 1,
             iteration: 9,
-            data: b.freeze(),
+            data: b.freeze().into(),
         }];
         let plugin = StoragePlugin::new(&cfg, 0, &dir).unwrap();
         let act = damaris_xml::schema::Action {
@@ -1479,39 +1344,6 @@ mod tests {
         assert!(stats.drain_ns > 0, "hand-off timed on the event path");
         let mut r = h5lite::FileReader::open(plugin.file_path()).unwrap();
         assert_eq!(r.read_pod::<f64>("it000009/u/rank1").unwrap(), data);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sink_sorts_staged_blocks_and_reuses_buffers() {
-        let cfg = config(r#"<store type="h5lite"/>"#, "");
-        let dir = tmpdir("sink");
-        let mut sink = StorageSink::new(&cfg, 0, &dir).unwrap();
-        let u = cfg.registry().var_id("u").unwrap();
-        let raw = cfg.registry().var_id("raw").unwrap();
-        let a = field(0.0);
-        let ab = bytes_of(&a);
-        for it in 0..3u64 {
-            // Arrival order scrambled; sources are 1-based world ranks.
-            sink.on_block(raw, it, 2, &ab);
-            sink.on_block(u, it, 2, &ab);
-            sink.on_block(u, it, 1, &ab);
-            sink.on_iteration_complete(it);
-        }
-        assert!(sink.errors().is_empty(), "{:?}", sink.errors());
-        sink.finish().unwrap().unwrap();
-        // One-in-flight staging: the pool never needs more than two
-        // iterations' worth of buffers (3 per iteration here), and all
-        // of them are back in the pool after finish.
-        let pooled = sink.engine.spare_bufs.lock().len();
-        assert!(
-            (3..=6).contains(&pooled),
-            "staging buffers pooled and bounded, got {pooled}"
-        );
-        let mut r = h5lite::FileReader::open(sink.file_path()).unwrap();
-        // 1-based rank 1 becomes rank0, matching thread mode.
-        assert_eq!(r.read_pod::<f64>("it000000/u/rank0").unwrap(), a);
-        assert_eq!(r.read_pod::<f64>("it000002/raw/rank1").unwrap(), a);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

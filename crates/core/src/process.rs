@@ -30,6 +30,12 @@
 //! carries one envelope per client per iteration instead of one message
 //! per block.
 //!
+//! The dedicated rank copies each validated block out of the mapping
+//! **once** into an owned [`damaris_shm::Payload`] and indexes it in a
+//! [`VariableStore`] under its 0-based client id, then drives the node's
+//! [`PluginSet`] exactly as the thread world does: every
+//! [`crate::Plugin`] runs unchanged in both worlds.
+//!
 //! Flow control is iteration-grained: the server acknowledges an
 //! iteration once every client has ended it and its blocks are consumed;
 //! clients keep at most [`ACK_WINDOW`] iterations of blocks alive before
@@ -44,7 +50,7 @@
 //! [`WriteStatus`], zero-copy [`ProcessClient::alloc`] →
 //! [`ProcessClient::commit`] over the shared mapping, user
 //! [`ProcessClient::signal`]s delivered to the dedicated core
-//! (`KIND_SIGNAL` descriptors → [`ProcessSink::on_signal`]),
+//! (`KIND_SIGNAL` descriptors → the signal `<action>`s' plugins),
 //! [`SkipMode::DropIteration`] admission/exhaustion semantics, and the
 //! lock-free latency histogram behind [`ProcessClient::stats`]. The
 //! recommended way to consume all of it is through the unified
@@ -56,15 +62,17 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use damaris_shm::{Block, BlockRef, SharedSegment, ShmFile};
+use damaris_shm::{Block, BlockRef, Payload, SharedSegment, ShmFile};
 use damaris_xml::schema::{AllocatorKind, Configuration, SkipMode};
 use damaris_xml::{EventId, VarId};
 use mini_mpi::{Comm, Source};
 
 use crate::client::{ClientStats, StatsRecorder, WriteStatus};
 use crate::error::{DamarisError, DamarisResult};
-use crate::facade::{block_digest, check_layout, resolve_var, SimHandle, SimWriter};
+use crate::facade::{check_layout, resolve_var, SimHandle, SimWriter};
+use crate::plugins::PluginSet;
 use crate::policy::SkipPolicy;
+use crate::store::{StoredBlock, VariableStore};
 
 /// World rank of the dedicated core.
 pub const DEDICATED_RANK: usize = 0;
@@ -83,7 +91,7 @@ const TAG_ACK: u32 = 2;
 // them, so a stale client is rejected instead of misread.
 const KIND_FIN: u64 = 3;
 /// A user signal: `[KIND_SIGNAL, event_id, iteration]` — the process-mode
-/// `damaris_signal`, firing [`ProcessSink::on_signal`] on the dedicated
+/// `damaris_signal`, firing the event's `<action>`s on the dedicated
 /// core. Signals stay their own immediate messages (they are
 /// order-independent with respect to writes), everything else coalesces
 /// into the iteration envelope.
@@ -127,110 +135,17 @@ fn slice_bytes(cfg: &Configuration, clients: usize) -> DamarisResult<usize> {
     Ok(slice)
 }
 
-/// What the dedicated core does with arriving blocks and signals (the
-/// process-mode analogue of a plugin).
+/// A per-block consumer: the shape a [`crate::Launcher::with_sink`]
+/// adapter drives. The adapter is a [`crate::Plugin`] firing at
+/// iteration completion, so a sink runs in either world and sees exactly
+/// the completed iterations' blocks.
 pub trait ProcessSink {
-    /// One block arrived: variable, iteration, writing client (1-based
-    /// world rank), and the block's bytes viewed in place in the mapping.
+    /// One block of a completed iteration: variable, iteration, writing
+    /// client (0-based client id) and the block's bytes.
     fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]);
-    /// Every client ended `iteration` and all its blocks were delivered.
+    /// Every block of `iteration` was handed to [`ProcessSink::on_block`].
     fn on_iteration_complete(&mut self, iteration: u64) {
         let _ = iteration;
-    }
-    /// A client raised a user event (the process-mode analogue of a
-    /// signal-triggered action; undeclared names never reach here — they
-    /// are filtered at the client edge, as in thread mode).
-    fn on_signal(&mut self, event: EventId, iteration: u64, source: usize) {
-        let _ = (event, iteration, source);
-    }
-}
-
-/// A [`ProcessSink`] computing per-variable f64 statistics — enough for
-/// the examples and tests to verify end-to-end data integrity.
-#[derive(Debug, Default)]
-pub struct StatsSink {
-    /// `(iteration, var_index)` → (count, sum, min, max).
-    per_var: HashMap<(u64, usize), (u64, f64, f64, f64)>,
-    /// Iterations completed, in completion order.
-    pub completed: Vec<u64>,
-    /// `(event_index, iteration, source)` of every delivered signal.
-    pub signals: Vec<(usize, u64, usize)>,
-}
-
-impl StatsSink {
-    /// New, empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(count, sum, min, max)` of a variable's f64 values at an iteration.
-    pub fn summary(&self, iteration: u64, var: VarId) -> Option<(u64, f64, f64, f64)> {
-        self.per_var.get(&(iteration, var.index())).copied()
-    }
-}
-
-impl ProcessSink for StatsSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, _source: usize, data: &[u8]) {
-        let entry = self.per_var.entry((iteration, var.index())).or_insert((
-            0,
-            0.0,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ));
-        for chunk in data.chunks_exact(8) {
-            let v = f64::from_le_bytes(chunk.try_into().unwrap());
-            entry.0 += 1;
-            entry.1 += v;
-            entry.2 = entry.2.min(v);
-            entry.3 = entry.3.max(v);
-        }
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        self.completed.push(iteration);
-    }
-
-    fn on_signal(&mut self, event: EventId, iteration: u64, source: usize) {
-        self.signals.push((event.index(), iteration, source));
-    }
-}
-
-/// A [`ProcessSink`] folding consumed blocks into the world-independent
-/// digest [`crate::facade::SimReport`] reports. Blocks are staged per
-/// iteration and folded in only when the iteration *completes* — the
-/// thread-mode launcher computes its digest in an end-of-iteration
-/// plugin, so blocks of never-completed iterations must not count on
-/// either backend or the two worlds' digests would diverge.
-#[derive(Debug, Default)]
-pub struct DigestSink {
-    digest: u64,
-    staged: HashMap<u64, u64>,
-}
-
-impl DigestSink {
-    /// The accumulated order-independent digest (completed iterations).
-    pub fn digest(&self) -> u64 {
-        self.digest
-    }
-}
-
-impl ProcessSink for DigestSink {
-    fn on_block(&mut self, var: VarId, iteration: u64, source: usize, data: &[u8]) {
-        // `source` is a 1-based world rank; the digest uses 0-based
-        // client indices so it matches the thread-mode plugin.
-        let sum = self.staged.entry(iteration).or_default();
-        *sum = sum.wrapping_add(block_digest(
-            var.index() as u64,
-            iteration,
-            (source - 1) as u64,
-            data,
-        ));
-    }
-
-    fn on_iteration_complete(&mut self, iteration: u64) {
-        if let Some(sum) = self.staged.remove(&iteration) {
-            self.digest = self.digest.wrapping_add(sum);
-        }
     }
 }
 
@@ -246,7 +161,7 @@ pub struct ServeReport {
     /// Client-iterations the skip policy dropped (announced by clients
     /// in their end-of-iteration descriptors).
     pub skipped_client_iterations: u64,
-    /// User signals delivered to the sink.
+    /// User signals delivered to the plugins.
     pub signals_delivered: u64,
     /// World ranks of clients that died mid-run (reliable heartbeat mesh
     /// only — see [`mini_mpi::SpawnOptions::heartbeat_ms`]); ascending.
@@ -261,29 +176,36 @@ pub struct ServeReport {
 /// World ranks (1-based clients) that ended each staged iteration.
 type EndedBy = HashMap<u64, BTreeSet<usize>>;
 
-/// Complete `iteration` if every client has either ended it or died:
-/// fire the sink callback, count it, and acknowledge the survivors.
-fn try_complete_iteration(
-    comm: &Comm,
+/// One serve's bookkeeping on the dedicated rank.
+struct Serving<'a> {
+    comm: &'a Comm,
     clients: usize,
-    dead: &BTreeSet<usize>,
-    iterations: &mut EndedBy,
-    report: &mut ServeReport,
-    sink: &mut dyn ProcessSink,
-    iteration: u64,
-) {
-    let Some(ended) = iterations.get(&iteration) else {
-        return;
-    };
-    if !(1..=clients).all(|c| ended.contains(&c) || dead.contains(&c)) {
-        return;
-    }
-    iterations.remove(&iteration);
-    sink.on_iteration_complete(iteration);
-    report.iterations_completed += 1;
-    for client in 1..=clients {
-        if !dead.contains(&client) {
-            comm.send(client, TAG_ACK, &[iteration]);
+    plugins: &'a PluginSet,
+    /// Blocks of in-flight iterations, keyed by 0-based client id.
+    store: VariableStore,
+    ended: EndedBy,
+    dead: BTreeSet<usize>,
+    report: ServeReport,
+}
+
+impl Serving<'_> {
+    /// Complete `iteration` if every client has either ended it or died:
+    /// fire the plugins, count it, and acknowledge the survivors.
+    fn try_complete(&mut self, iteration: u64) {
+        let Some(ended) = self.ended.get(&iteration) else {
+            return;
+        };
+        if !(1..=self.clients).all(|c| ended.contains(&c) || self.dead.contains(&c)) {
+            return;
+        }
+        self.ended.remove(&iteration);
+        let blocks = self.store.remove_iteration(iteration);
+        self.plugins.fire_iteration(iteration, &blocks);
+        self.report.iterations_completed += 1;
+        for client in 1..=self.clients {
+            if !self.dead.contains(&client) {
+                self.comm.send(client, TAG_ACK, &[iteration]);
+            }
         }
     }
 }
@@ -327,8 +249,9 @@ impl ProcessServer {
     }
 
     /// Check one client-sent `(var, offset, len)` descriptor before it
-    /// reaches the mapping or a sink: the bytes must lie inside the
-    /// sending rank's slice and the variable must be declared.
+    /// reaches the mapping or a plugin: the bytes must lie inside the
+    /// sending rank's slice, the variable must be declared, and the length
+    /// must fit its layout.
     fn checked_block(
         &self,
         source: usize,
@@ -354,11 +277,16 @@ impl ProcessServer {
                     "rank {source} sent a block of undeclared variable id {var_raw}"
                 ))
             })?;
+        check_layout(&self.cfg, var, len as usize).map_err(|e| {
+            DamarisError::InvalidState(format!("rank {source} sent a misfit block: {e}"))
+        })?;
         Ok((var, offset as usize, len as usize))
     }
 
-    /// Serve until every client finalizes **or dies**; blocks are handed
-    /// to `sink` as views into the shared mapping (no copies).
+    /// Serve until every client finalizes **or dies**, firing `plugins`
+    /// on each completed iteration and signal, with 0-based client ids
+    /// as in the thread world. Finalizing the plugins is the caller's
+    /// step ([`PluginSet::finalize`]).
     ///
     /// With the reliable heartbeat mesh, a client crash does not wedge
     /// the node: the dead rank is recorded in
@@ -369,17 +297,23 @@ impl ProcessServer {
     /// before.
     ///
     /// A malformed message — an unknown kind, a block outside the sending
-    /// rank's slice, an undeclared variable or event — ends the serve
-    /// with [`DamarisError::InvalidState`] naming the rank; nothing a
-    /// client sends can panic the dedicated core.
-    pub fn serve(&self, comm: &Comm, sink: &mut dyn ProcessSink) -> DamarisResult<ServeReport> {
+    /// rank's slice or misfit for its layout, an undeclared variable or
+    /// event — ends the serve with [`DamarisError::InvalidState`] naming
+    /// the rank; nothing a client sends can panic the dedicated core.
+    pub fn serve(&self, comm: &Comm, plugins: &PluginSet) -> DamarisResult<ServeReport> {
         let clients = comm.size() - 1;
-        let mut report = ServeReport::default();
-        let mut iterations = EndedBy::new();
+        let mut s = Serving {
+            comm,
+            clients,
+            plugins,
+            store: VariableStore::new(),
+            ended: EndedBy::new(),
+            dead: BTreeSet::new(),
+            report: ServeReport::default(),
+        };
         let mut finalized: BTreeSet<usize> = BTreeSet::new();
-        let mut dead: BTreeSet<usize> = BTreeSet::new();
-        while (1..=clients).any(|c| !finalized.contains(&c) && !dead.contains(&c)) {
-            let known_dead: Vec<usize> = dead.iter().copied().collect();
+        while (1..=clients).any(|c| !finalized.contains(&c) && !s.dead.contains(&c)) {
+            let known_dead: Vec<usize> = s.dead.iter().copied().collect();
             let (msg, source) = match comm.recv_any_or_death::<u64>(TAG_MSG, &known_dead) {
                 Ok(pair) => pair,
                 Err(newly_dead) => {
@@ -387,21 +321,13 @@ impl ProcessServer {
                     // iterations and keep serving the survivors.
                     for rank in newly_dead {
                         if rank != DEDICATED_RANK && rank <= clients {
-                            dead.insert(rank);
+                            s.dead.insert(rank);
                         }
                     }
-                    report.degraded = true;
-                    let staged: Vec<u64> = iterations.keys().copied().collect();
+                    s.report.degraded = true;
+                    let staged: Vec<u64> = s.ended.keys().copied().collect();
                     for iteration in staged {
-                        try_complete_iteration(
-                            comm,
-                            clients,
-                            &dead,
-                            &mut iterations,
-                            &mut report,
-                            sink,
-                            iteration,
-                        );
+                        s.try_complete(iteration);
                     }
                     continue;
                 }
@@ -409,7 +335,7 @@ impl ProcessServer {
             match msg.first().copied() {
                 Some(KIND_BATCH) => {
                     // The whole client-iteration in one envelope: header
-                    // plus 3-word write descriptors, consumed in the
+                    // plus 3-word write descriptors, indexed in the
                     // client's publish order before the end-of-iteration
                     // effect.
                     let ok = msg.len() >= BATCH_HEADER
@@ -426,25 +352,24 @@ impl ProcessServer {
                     for desc in msg[BATCH_HEADER..].chunks_exact(3) {
                         let (var, offset, len) =
                             self.checked_block(source, desc[0], desc[1], desc[2])?;
-                        self.shm.with_bytes(offset, len, |bytes| {
-                            sink.on_block(var, iteration, source, bytes)
+                        // The one copy: the client frees its slice range
+                        // once the iteration is acknowledged, while
+                        // plugins may keep the payload longer.
+                        let bytes = self.shm.with_bytes(offset, len, |b| b.to_vec());
+                        s.store.insert(StoredBlock {
+                            variable: var,
+                            source: source - 1,
+                            iteration,
+                            data: Payload::Owned(Arc::new(bytes)),
                         });
-                        report.blocks_received += 1;
-                        report.bytes_received += len as u64;
+                        s.report.blocks_received += 1;
+                        s.report.bytes_received += len as u64;
                     }
                     if skipped != 0 {
-                        report.skipped_client_iterations += 1;
+                        s.report.skipped_client_iterations += 1;
                     }
-                    iterations.entry(iteration).or_default().insert(source);
-                    try_complete_iteration(
-                        comm,
-                        clients,
-                        &dead,
-                        &mut iterations,
-                        &mut report,
-                        sink,
-                        iteration,
-                    );
+                    s.ended.entry(iteration).or_default().insert(source);
+                    s.try_complete(iteration);
                 }
                 Some(KIND_SIGNAL) => {
                     let [_, event_raw, iteration] = msg[..] else {
@@ -457,8 +382,11 @@ impl ProcessServer {
                             "rank {source} raised undeclared event id {event_raw}"
                         )));
                     }
-                    sink.on_signal(EventId::from_raw(event_raw as u32), iteration, source);
-                    report.signals_delivered += 1;
+                    let blocks: Vec<StoredBlock> =
+                        s.store.iteration_blocks(iteration).cloned().collect();
+                    let event = EventId::from_raw(event_raw as u32);
+                    plugins.fire_signal(event, source - 1, iteration, &blocks);
+                    s.report.signals_delivered += 1;
                 }
                 Some(KIND_FIN) => {
                     finalized.insert(source);
@@ -470,7 +398,8 @@ impl ProcessServer {
                 }
             }
         }
-        report.dead_ranks = dead.into_iter().collect();
+        let mut report = s.report;
+        report.dead_ranks = s.dead.into_iter().collect();
         report.degraded = !report.dead_ranks.is_empty();
         Ok(report)
     }
@@ -727,8 +656,8 @@ impl ProcessClient {
         }
     }
 
-    /// Raise a user event on the dedicated core
-    /// ([`ProcessSink::on_signal`]). Names no `<action>` declares are
+    /// Raise a user event on the dedicated core, firing the plugins its
+    /// `<action event="…">`s name. Names no `<action>` declares are
     /// silently dropped at this edge, exactly like thread mode.
     pub fn signal(&mut self, comm: &Comm, name: &str, iteration: u64) -> DamarisResult<()> {
         let Some(event) = self.cfg.registry().event_id(name) else {
@@ -990,6 +919,7 @@ impl SimHandle for ProcessHandle<'_> {
 mod tests {
     use super::*;
     use mini_mpi::World;
+    use proptest::prelude::*;
 
     const XML: &str = r#"<simulation name="wire">
         <architecture><buffer size="65536"/></architecture>
@@ -997,11 +927,17 @@ mod tests {
           <layout name="row" type="f64" dimensions="8"/>
           <variable name="u" layout="row"/>
         </data>
+        <actions>
+          <action name="summary" plugin="stats" event="end-of-iteration"/>
+          <action name="snap" plugin="stats" event="snap"/>
+        </actions>
       </simulation>"#;
 
     /// Rank 1 sends `msg`, then its goodbye (so a server that accepts
     /// `msg` returns instead of waiting); returns what rank 0's serve
-    /// returned. A panic on the dedicated rank fails the calling test.
+    /// returned. The statistics plugin reads every block that gets
+    /// through, so a payload that slipped past validation would panic
+    /// here. A panic on the dedicated rank fails the calling test.
     fn serve_crafted(tag: &str, msg: Vec<u64>) -> DamarisResult<ServeReport> {
         let dir = std::env::temp_dir().join(format!("damaris-wire-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -1009,8 +945,10 @@ mod tests {
         let out = World::run(2, move |comm| {
             let cfg = Configuration::from_str(XML).unwrap();
             if comm.rank() == DEDICATED_RANK {
+                let plugins = PluginSet::new(cfg.clone(), 0, &seg_dir);
+                plugins.register_builtins().unwrap();
                 let server = ProcessServer::new(comm, cfg, &seg_dir).unwrap();
-                Some(server.serve(comm, &mut StatsSink::new()))
+                Some(server.serve(comm, &plugins))
             } else {
                 comm.barrier(); // the server created the segment
                 comm.send(DEDICATED_RANK, TAG_MSG, &msg);
@@ -1044,6 +982,7 @@ mod tests {
                 batch(7, 0, 64),
                 "undeclared variable id 7",
             ),
+            ("misfit-len", batch(0, 0, 13), "misfit block"),
             (
                 "undeclared-event",
                 vec![KIND_SIGNAL, 3, 0],
@@ -1060,6 +999,63 @@ mod tests {
                     assert!(m.contains(needle) && m.contains("rank 1"), "{tag}: {m}")
                 }
                 other => panic!("{tag}: expected InvalidState, got {other:?}"),
+            }
+        }
+    }
+
+    /// A random client envelope: any kind word (live, retired, unknown),
+    /// a batch header announcing roughly as many writes as it carries,
+    /// random `(var, offset, len)` triples, random event ids, and a random
+    /// truncation of the whole message.
+    fn envelope() -> impl Strategy<Value = Vec<u64>> {
+        let kind = prop_oneof![
+            Just(1u64),
+            Just(2u64),
+            Just(KIND_FIN),
+            Just(KIND_SIGNAL),
+            Just(KIND_BATCH),
+            Just(KIND_BATCH),
+            any::<u64>(),
+        ];
+        let triple = (
+            0u64..3,
+            prop_oneof![0u64..131_072, any::<u64>()],
+            prop_oneof![Just(64u64), 0u64..256],
+        );
+        (
+            kind,
+            0u64..3,
+            proptest::collection::vec(triple, 0..4),
+            0u64..3,
+            0u64..3,
+            0usize..16,
+        )
+            .prop_map(|(kind, iteration, triples, skew, event, keep)| {
+                let mut msg = if kind == KIND_SIGNAL {
+                    vec![kind, event, iteration]
+                } else {
+                    let announced = (triples.len() as u64 + skew).saturating_sub(1);
+                    let mut m = vec![kind, iteration, announced, skew % 2];
+                    m.extend(triples.iter().flat_map(|&(v, o, l)| [v, o, l]));
+                    m
+                };
+                if keep < msg.len() && keep % 3 == 0 {
+                    msg.truncate(keep);
+                }
+                msg
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn random_envelopes_are_served_or_rejected(msg in envelope()) {
+            static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+            let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let shown = format!("{msg:?}");
+            match serve_crafted(&format!("prop{case}"), msg) {
+                Ok(_) | Err(DamarisError::InvalidState(_)) => {}
+                Err(other) => panic!("{shown}: unexpected error {other:?}"),
             }
         }
     }

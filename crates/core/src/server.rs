@@ -6,8 +6,8 @@
 //! ended the step *and* all announced blocks arrived — necessary because
 //! several dedicated cores may drain events concurrently, and, with the
 //! sharded transport, because events from different clients may arrive
-//! reordered), fires plugins, and garbage-collects the iteration's shared
-//! memory.
+//! reordered), fires the node's [`PluginSet`], and garbage-collects the
+//! iteration's shared memory.
 //!
 //! The loop is transport-agnostic: a mutex [`damaris_shm::MessageQueue`]
 //! and a work-stealing [`damaris_shm::StealingConsumer`] plug in
@@ -20,12 +20,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use damaris_shm::transport::EventConsumer;
-use damaris_xml::schema::{Action, Configuration, Trigger};
-use damaris_xml::EventId;
-use parking_lot::{Condvar, Mutex, RwLock};
+use damaris_xml::schema::Configuration;
+use parking_lot::{Condvar, Mutex};
 
 use crate::event::Event;
-use crate::plugins::{IterationCtx, Plugin, SignalCtx};
+use crate::plugins::PluginSet;
 use crate::store::{StoredBlock, VariableStore};
 
 /// Progress bookkeeping for one in-flight iteration.
@@ -41,24 +40,14 @@ struct IterProgress {
 
 /// State shared between all dedicated cores of a node (and the node handle).
 pub struct ServerShared {
-    pub(crate) cfg: Arc<Configuration>,
-    pub(crate) node_id: usize,
     pub(crate) n_clients: usize,
-    pub(crate) output_dir: PathBuf,
     pub(crate) store: Mutex<VariableStore>,
-    /// Completed iterations kept in the store for subscriber catch-up
-    /// (`<serve retain>`); 0 without a serving tier — reclaim at once.
-    retain_window: usize,
     progress: Mutex<HashMap<u64, IterProgress>>,
-    /// Actions per interned user event, precomputed so a signal dispatch
-    /// is an index instead of a scan over every declared action.
-    signal_actions: Vec<Vec<Action>>,
-    pub(crate) plugins: RwLock<Vec<Arc<dyn Plugin>>>,
+    /// The node's plugins and their dispatch rules.
+    pub(crate) plugins: PluginSet,
     /// Clients that called finalize, with a condvar for shutdown waits.
     finalized: Mutex<usize>,
     pub(crate) all_finalized: Condvar,
-    /// Plugin failures (collected, never fatal to the service).
-    pub(crate) errors: Mutex<Vec<String>>,
     /// Completed iterations (actions fired, memory reclaimed).
     pub(crate) iterations_completed: AtomicU64,
     /// Skipped client-iterations observed.
@@ -78,40 +67,23 @@ pub struct ServerShared {
 }
 
 impl ServerShared {
+    /// Shared state of one node's dedicated cores; registers the
+    /// configuration's built-in plugins (see [`PluginSet::register_builtins`]).
     pub(crate) fn new(
         cfg: Arc<Configuration>,
         node_id: usize,
         n_clients: usize,
         output_dir: PathBuf,
-    ) -> Self {
-        let registry = cfg.registry();
-        let mut signal_actions = vec![Vec::new(); registry.event_count()];
-        for action in &cfg.actions {
-            if let Trigger::Event(name) = &action.trigger {
-                if let Some(id) = registry.event_id(name) {
-                    signal_actions[id.index()].push(action.clone());
-                }
-            }
-        }
-        let retain_window = cfg
-            .architecture
-            .serve
-            .as_ref()
-            .map(|s| s.retain as usize)
-            .unwrap_or(0);
-        ServerShared {
-            cfg,
-            node_id,
+    ) -> Result<Self, String> {
+        let plugins = PluginSet::new(cfg, node_id, output_dir);
+        plugins.register_builtins()?;
+        Ok(ServerShared {
             n_clients,
-            output_dir,
             store: Mutex::new(VariableStore::new()),
-            retain_window,
             progress: Mutex::new(HashMap::new()),
-            signal_actions,
-            plugins: RwLock::new(Vec::new()),
+            plugins,
             finalized: Mutex::new(0),
             all_finalized: Condvar::new(),
-            errors: Mutex::new(Vec::new()),
             iterations_completed: AtomicU64::new(0),
             skipped_client_iterations: AtomicU64::new(0),
             signals_delivered: AtomicU64::new(0),
@@ -119,7 +91,7 @@ impl ServerShared {
             bytes_received: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             idle_nanos: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Block until every client has finalized (returns false on timeout).
@@ -143,98 +115,10 @@ impl ServerShared {
         idle / (busy + idle)
     }
 
-    fn actions_for_iteration(&self, iteration: u64) -> Vec<Action> {
-        let mut out = Vec::new();
-        for action in &self.cfg.actions {
-            if let Trigger::EndOfIteration { frequency } = action.trigger {
-                if iteration.is_multiple_of(frequency) {
-                    out.push(action.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// Fire plugins for a completed iteration (blocks already removed from
-    /// the store by the caller, so other server threads keep running).
-    fn fire_iteration(&self, iteration: u64, blocks: &[StoredBlock]) {
-        let plugins = self.plugins.read();
-        let actions = self.actions_for_iteration(iteration);
-        for plugin in plugins.iter() {
-            // Actions referencing the plugin configure its invocation; a
-            // plugin with no matching action fires with defaults.
-            let matched: Vec<&Action> = actions
-                .iter()
-                .filter(|a| a.plugin == plugin.name())
-                .collect();
-            let default_action = Action {
-                name: plugin.name().to_string(),
-                plugin: plugin.name().to_string(),
-                trigger: Trigger::EndOfIteration { frequency: 1 },
-                params: vec![],
-            };
-            let declared_anywhere = self.cfg.actions.iter().any(|a| a.plugin == plugin.name());
-            let invocations: Vec<&Action> = if matched.is_empty() {
-                if declared_anywhere {
-                    // Declared with a frequency that excludes this step.
-                    continue;
-                }
-                vec![&default_action]
-            } else {
-                matched
-            };
-            for action in invocations {
-                let ctx = IterationCtx {
-                    iteration,
-                    node_id: self.node_id,
-                    simulation: &self.cfg.name,
-                    blocks,
-                    config: &self.cfg,
-                    output_dir: &self.output_dir,
-                    action,
-                };
-                if let Err(msg) = plugin.on_iteration(&ctx) {
-                    self.errors.lock().push(format!(
-                        "plugin '{}' at iteration {iteration}: {msg}",
-                        plugin.name()
-                    ));
-                }
-            }
-        }
-        self.iterations_completed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn fire_signal(&self, event: EventId, source: usize, iteration: u64) {
-        let name = self.cfg.registry().event_name(event);
-        let plugins = self.plugins.read();
-        let store = self.store.lock();
-        let blocks: Vec<StoredBlock> = store.iteration_blocks(iteration).cloned().collect();
-        drop(store);
-        for action in &self.signal_actions[event.index()] {
-            for plugin in plugins.iter().filter(|p| p.name() == action.plugin) {
-                let ctx = SignalCtx {
-                    name,
-                    source,
-                    iteration,
-                    blocks: &blocks,
-                    config: &self.cfg,
-                    output_dir: &self.output_dir,
-                    action,
-                };
-                if let Err(msg) = plugin.on_signal(&ctx) {
-                    self.errors.lock().push(format!(
-                        "plugin '{}' on signal '{name}': {msg}",
-                        plugin.name()
-                    ));
-                }
-            }
-        }
-    }
-
     /// Fire-and-collect if iteration `it` became complete. Returns true if
     /// this call fired it.
     fn maybe_complete(&self, it: u64) -> bool {
-        let (blocks, expired) = {
+        let blocks = {
             let mut progress = self.progress.lock();
             let mut store = self.store.lock();
             let Some(p) = progress.get_mut(&it) else {
@@ -245,18 +129,14 @@ impl ServerShared {
             }
             p.fired = true;
             progress.remove(&it);
-            // Completed iterations stay indexed for the retain window so a
-            // late subscriber's snapshot catch-up cannot race collection;
-            // with no serving tier the window is 0 and this degenerates to
-            // the old remove-on-completion behavior.
-            store.mark_complete(it);
-            let blocks = store.snapshot(it);
-            (blocks, store.gc_completed(self.retain_window))
+            // Taken out of the store before firing, so other server
+            // threads keep indexing while the plugins run.
+            store.remove_iteration(it)
         };
-        drop(expired);
-        self.fire_iteration(it, &blocks);
-        // `blocks` dropped here: with retain 0 the shared memory is
-        // reclaimed now; otherwise when the iteration leaves the window.
+        self.plugins.fire_iteration(it, &blocks);
+        self.iterations_completed.fetch_add(1, Ordering::Relaxed);
+        // `blocks` dropped here: the shared memory is reclaimed once the
+        // plugins drop their own references.
         true
     }
 }
@@ -288,7 +168,7 @@ pub fn server_loop<C: EventConsumer<Event>>(shared: Arc<ServerShared>, mut event
                     variable,
                     source,
                     iteration,
-                    data: block,
+                    data: block.into(),
                 });
                 shared.maybe_complete(iteration);
             }
@@ -317,7 +197,15 @@ pub fn server_loop<C: EventConsumer<Event>>(shared: Arc<ServerShared>, mut event
                 iteration,
             } => {
                 shared.signals_delivered.fetch_add(1, Ordering::Relaxed);
-                shared.fire_signal(event, source, iteration);
+                let blocks: Vec<StoredBlock> = shared
+                    .store
+                    .lock()
+                    .iteration_blocks(iteration)
+                    .cloned()
+                    .collect();
+                shared
+                    .plugins
+                    .fire_signal(event, source, iteration, &blocks);
             }
             Event::ClientFinalize { .. } => {
                 let mut n = shared.finalized.lock();
@@ -336,7 +224,7 @@ pub fn server_loop<C: EventConsumer<Event>>(shared: Arc<ServerShared>, mut event
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plugins::FnPlugin;
+    use crate::plugins::{FnPlugin, Plugin, SignalCtx};
     use damaris_shm::transport::{EventChannel, EventProducer, ShardedChannel};
     use damaris_shm::{MessageQueue, SharedSegment};
     use std::sync::atomic::AtomicUsize;
@@ -391,13 +279,12 @@ mod tests {
     #[test]
     fn iteration_fires_once_all_clients_and_blocks_arrive() {
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()).unwrap());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
+            .register(Arc::new(FnPlugin::new("probe", move |ctx| {
                 assert_eq!(ctx.blocks.len(), 2);
                 f.fetch_add(1, Ordering::SeqCst);
                 Ok(())
@@ -432,13 +319,12 @@ mod tests {
         // Mimics two dedicated cores racing: EndIteration processed before
         // the matching Write. The expected-block count holds firing back.
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()).unwrap());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |_| {
+            .register(Arc::new(FnPlugin::new("probe", move |_| {
                 f.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             })));
@@ -465,13 +351,12 @@ mod tests {
                  <action name="dump" plugin="probe" event="end-of-iteration" frequency="2"/>
                </actions>"#,
         );
-        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()).unwrap());
         let fired = Arc::new(Mutex::new(Vec::new()));
         let f = fired.clone();
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
+            .register(Arc::new(FnPlugin::new("probe", move |ctx| {
                 f.lock().push(ctx.iteration);
                 Ok(())
             })));
@@ -505,7 +390,7 @@ mod tests {
         );
         let snapshot = cfg.registry().event_id("user-snapshot").unwrap();
         let unrelated = cfg.registry().event_id("unrelated").unwrap();
-        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()).unwrap());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
         struct SignalProbe(Arc<AtomicUsize>);
@@ -519,7 +404,7 @@ mod tests {
                 Ok(())
             }
         }
-        shared.plugins.write().push(Arc::new(SignalProbe(f)));
+        shared.plugins.register(Arc::new(SignalProbe(f)));
         run_events(
             &shared,
             vec![
@@ -541,11 +426,10 @@ mod tests {
     #[test]
     fn plugin_errors_collected_not_fatal() {
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 1, std::env::temp_dir()).unwrap());
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("bad", |_| Err("kaboom".into()))));
+            .register(Arc::new(FnPlugin::new("bad", |_| Err("kaboom".into()))));
         let seg = SharedSegment::new(4096).unwrap();
         run_events(
             &shared,
@@ -566,7 +450,7 @@ mod tests {
                 },
             ],
         );
-        let errors = shared.errors.lock();
+        let errors = shared.plugins.errors();
         assert_eq!(
             errors.len(),
             2,
@@ -578,13 +462,12 @@ mod tests {
     #[test]
     fn skipped_iterations_fire_with_partial_blocks() {
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()).unwrap());
         let seen = Arc::new(Mutex::new(Vec::new()));
         let s = seen.clone();
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
+            .register(Arc::new(FnPlugin::new("probe", move |ctx| {
                 s.lock().push(ctx.blocks.len());
                 Ok(())
             })));
@@ -617,13 +500,12 @@ mod tests {
         // The same completion logic must hold when events arrive through
         // per-client rings drained by a stealing consumer.
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()).unwrap());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
         shared
             .plugins
-            .write()
-            .push(Arc::new(FnPlugin::new("probe", move |ctx| {
+            .register(Arc::new(FnPlugin::new("probe", move |ctx| {
                 assert_eq!(ctx.blocks.len(), 2);
                 f.fetch_add(1, Ordering::SeqCst);
                 Ok(())
@@ -657,7 +539,7 @@ mod tests {
     #[test]
     fn finalize_notifies_waiters() {
         let cfg = config("");
-        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()));
+        let shared = Arc::new(ServerShared::new(cfg, 0, 2, std::env::temp_dir()).unwrap());
         let queue: MessageQueue<Event> = MessageQueue::bounded(8);
         let s2 = shared.clone();
         let q2 = queue.clone();

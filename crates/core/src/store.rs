@@ -9,10 +9,10 @@
 //! O(log n), and an iteration's blocks can be split off wholesale when it
 //! completes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use damaris_shm::BlockRef;
+use damaris_shm::Payload;
 use damaris_xml::VarId;
 
 /// One indexed block: who wrote which variable at which step.
@@ -20,12 +20,14 @@ use damaris_xml::VarId;
 pub struct StoredBlock {
     /// Interned variable id.
     pub variable: VarId,
-    /// Writing client id (rank within the node).
+    /// Writing client id (0-based client index within the node, in both
+    /// worlds).
     pub source: usize,
     /// Simulation time step.
     pub iteration: u64,
-    /// Zero-copy handle into the shared segment.
-    pub data: BlockRef,
+    /// The block's bytes: a zero-copy shared-segment view in the thread
+    /// world, one owned copy out of the mapping in the process world.
+    pub data: Payload,
 }
 
 /// `(iteration, variable, source, seq)` — `seq` distinguishes repeated
@@ -34,7 +36,7 @@ type BlockKey = (u64, u32, usize, u32);
 
 /// Index of live blocks, ordered by `(iteration, variable, source)`.
 ///
-/// Blocks hold [`BlockRef`]s, so removing an iteration releases its shared
+/// Blocks hold [`Payload`]s, so removing an iteration releases its shared
 /// memory once plugins drop their own references — this is the garbage
 /// collection that keeps the segment from filling under steady state.
 #[derive(Debug, Default)]
@@ -43,10 +45,6 @@ pub struct VariableStore {
     /// Blocks per iteration (kept incrementally so completion checks are
     /// O(log iterations)).
     counts: BTreeMap<u64, usize>,
-    /// Iterations marked complete and still held for snapshot catch-up
-    /// (the serving tier's late joiners read these); bounded by the
-    /// retain window passed to [`VariableStore::gc_completed`].
-    completed: BTreeSet<u64>,
 }
 
 fn iter_range(iteration: u64) -> (Bound<BlockKey>, Bound<BlockKey>) {
@@ -133,59 +131,10 @@ impl VariableStore {
         self.counts.keys().copied().collect()
     }
 
-    /// Mark an iteration complete (every expected block indexed). The
-    /// blocks stay in the store until [`VariableStore::gc_completed`]
-    /// rotates them out of the retain window.
-    pub fn mark_complete(&mut self, iteration: u64) {
-        self.completed.insert(iteration);
-    }
-
-    /// Highest iteration marked complete, if any. This is what a late
-    /// subscriber catches up from — callers no longer need to know the
-    /// iteration id out of band.
-    pub fn latest_complete_iteration(&self) -> Option<u64> {
-        self.completed.iter().next_back().copied()
-    }
-
-    /// Snapshot of one iteration: cloned blocks ordered by `(variable,
-    /// source)` — one range scan of the ordered index. Clones hold
-    /// [`BlockRef`]s, so the snapshot stays readable even if the store
-    /// GCs the iteration afterwards.
-    pub fn snapshot(&self, iteration: u64) -> Vec<StoredBlock> {
-        self.by_key
-            .range(iter_range(iteration))
-            .map(|(_, b)| b.clone())
-            .collect()
-    }
-
-    /// Snapshot of the most recent completed iteration (see
-    /// [`VariableStore::snapshot`]); `None` before the first completion.
-    pub fn latest_snapshot(&self) -> Option<(u64, Vec<StoredBlock>)> {
-        let it = self.latest_complete_iteration()?;
-        Some((it, self.snapshot(it)))
-    }
-
-    /// Garbage-collect completed iterations beyond the retain window:
-    /// keep the newest `retain` completed iterations, drop the rest.
-    /// Returns the dropped blocks so callers can release them outside
-    /// any lock. `retain == 0` reclaims every completed iteration
-    /// immediately (the no-serving default).
-    pub fn gc_completed(&mut self, retain: usize) -> Vec<StoredBlock> {
-        let mut dropped = Vec::new();
-        while self.completed.len() > retain {
-            // `completed` is ordered, so the first entry is the oldest.
-            let oldest = *self.completed.iter().next().expect("len checked");
-            self.completed.remove(&oldest);
-            dropped.extend(self.remove_iteration(oldest));
-        }
-        dropped
-    }
-
     /// Drop an iteration's blocks, releasing their shared memory.
     /// Returns the removed blocks ordered by `(variable, source)`;
     /// callers may still hold clones.
     pub fn remove_iteration(&mut self, iteration: u64) -> Vec<StoredBlock> {
-        self.completed.remove(&iteration);
         if self.counts.remove(&iteration).is_none() {
             return Vec::new();
         }
@@ -216,7 +165,7 @@ mod tests {
             variable: v,
             source: src,
             iteration: it,
-            data: b.freeze(),
+            data: b.freeze().into(),
         }
     }
 
@@ -289,89 +238,30 @@ mod tests {
     }
 
     #[test]
-    fn latest_complete_tracks_marking_order() {
-        let seg = SharedSegment::new(4096).unwrap();
-        let mut store = VariableStore::new();
-        assert_eq!(store.latest_complete_iteration(), None);
-        store.insert(block(&seg, var(0), 0, 0, 1.0));
-        assert_eq!(
-            store.latest_complete_iteration(),
-            None,
-            "inserted ≠ complete"
-        );
-        store.insert(block(&seg, var(0), 1, 0, 2.0));
-        // Out-of-order completion (multiple dedicated cores): latest is
-        // the max marked, not the last marked.
-        store.mark_complete(1);
-        store.mark_complete(0);
-        assert_eq!(store.latest_complete_iteration(), Some(1));
-    }
-
-    #[test]
-    fn snapshot_survives_gc() {
+    fn removed_iteration_clones_pin_the_bytes() {
         let seg = SharedSegment::new(4096).unwrap();
         let mut store = VariableStore::new();
         let (u, v) = (var(0), var(1));
         store.insert(block(&seg, v, 3, 1, 4.0));
         store.insert(block(&seg, u, 3, 0, 3.0));
-        store.mark_complete(3);
-
-        let (it, snap) = store.latest_snapshot().unwrap();
-        assert_eq!(it, 3);
-        assert_eq!(snap.len(), 2);
+        let held: Vec<StoredBlock> = store.iteration_blocks(3).cloned().collect();
         assert_eq!(
-            (snap[0].variable, snap[0].source),
+            (held[0].variable, held[0].source),
             (u, 0),
             "range scan comes back (variable, source)-ordered"
         );
-        assert_eq!((snap[1].variable, snap[1].source), (v, 1));
+        assert_eq!((held[1].variable, held[1].source), (v, 1));
 
-        // GC with retain=0 empties the store, but the snapshot's clones
-        // keep the shared memory alive until the last reader drops them.
-        let dropped = store.gc_completed(0);
-        assert_eq!(dropped.len(), 2);
-        drop(dropped);
+        // Removal empties the store, but a consumer's clones keep the
+        // shared memory alive until the last reader drops them.
+        let removed = store.remove_iteration(3);
+        assert_eq!(removed.len(), 2);
+        drop(removed);
         assert_eq!(store.total(), 0);
-        assert!(seg.used_bytes() > 0, "snapshot clones pin the bytes");
-        assert_eq!(snap[1].data.as_pod::<f64>()[0], 4.0);
-        drop(snap);
+        assert!(seg.used_bytes() > 0, "held clones pin the bytes");
+        assert_eq!(held[1].data.as_pod::<f64>()[0], 4.0);
+        drop(held);
         assert_eq!(seg.used_bytes(), 0);
-    }
-
-    #[test]
-    fn gc_respects_retain_window() {
-        let seg = SharedSegment::new(1 << 16).unwrap();
-        let mut store = VariableStore::new();
-        for it in 0..5 {
-            store.insert(block(&seg, var(0), it, 0, it as f64));
-            store.mark_complete(it);
-            drop(store.gc_completed(2));
-        }
-        // The two newest completed iterations survive for catch-up.
-        assert_eq!(store.iterations(), vec![3, 4]);
-        assert_eq!(store.latest_complete_iteration(), Some(4));
-        assert!(!store.snapshot(4).is_empty());
-        // Widening the window later never resurrects dropped iterations.
-        assert!(store.gc_completed(3).is_empty());
-        assert_eq!(store.iterations(), vec![3, 4]);
-        // An incomplete iteration is never GCed, whatever the window.
-        store.insert(block(&seg, var(0), 7, 0, 7.0));
-        let dropped = store.gc_completed(0);
-        assert_eq!(dropped.len(), 2, "only the completed pair went");
-        drop(dropped);
-        assert_eq!(store.iterations(), vec![7]);
-        assert_eq!(store.latest_complete_iteration(), None);
-    }
-
-    #[test]
-    fn remove_iteration_clears_completion() {
-        let seg = SharedSegment::new(4096).unwrap();
-        let mut store = VariableStore::new();
-        store.insert(block(&seg, var(0), 0, 0, 1.0));
-        store.mark_complete(0);
-        drop(store.remove_iteration(0));
-        assert_eq!(store.latest_complete_iteration(), None);
-        assert!(store.gc_completed(0).is_empty(), "nothing left to collect");
     }
 
     #[test]

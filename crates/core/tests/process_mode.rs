@@ -2,6 +2,9 @@
 //! processes, events over Unix-domain sockets, block payloads through a
 //! file-backed shared-memory segment.
 
+use std::sync::{Arc, Mutex};
+
+use damaris_core::plugins::SignalCtx;
 use damaris_core::prelude::*;
 use damaris_core::process::{
     segment_path, ProcessClient, ProcessServer, ServeReport, DEDICATED_RANK,
@@ -29,6 +32,12 @@ fn le_u64s(values: &[u64]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
 }
 
+/// The dedicated rank's plugin set (these configurations ask for no
+/// built-ins).
+fn plugins(server: &ProcessServer, dir: &std::path::Path) -> PluginSet {
+    PluginSet::new(server.config().clone(), 0, dir)
+}
+
 fn from_le_u64s(bytes: &[u8]) -> Vec<u64> {
     bytes
         .chunks_exact(8)
@@ -48,17 +57,18 @@ fn clients_and_dedicated_core_as_processes() {
             let dir = World::spawn_dir().expect("rank runs inside a spawned world");
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report: ServeReport = server.serve(comm, &mut sink).unwrap();
+                let stats = Arc::new(StatsPlugin::new());
+                let set = plugins(&server, &dir);
+                set.register(stats.clone());
+                let report: ServeReport = server.serve(comm, &set).unwrap();
                 // Verify data integrity on the server side: iteration 3,
                 // variable "u" = 2 clients × 64 values of (client_rank + 3).
-                let u = server.config().registry().var_id("u").unwrap();
-                let (count, sum, min, max) = sink.summary(3, u).unwrap();
-                assert_eq!(count, 2 * 64);
-                assert_eq!(min, 1.0 + 3.0);
-                assert_eq!(max, 2.0 + 3.0);
-                assert_eq!(sum, 64.0 * (4.0 + 5.0));
-                assert_eq!(sink.completed.len(), ITERATIONS as usize);
+                let s = stats.summary(3, "u").unwrap();
+                assert_eq!(s.count, 2 * 64);
+                assert_eq!(s.min, 1.0 + 3.0);
+                assert_eq!(s.max, 2.0 + 3.0);
+                assert_eq!(s.mean * s.count as f64, 64.0 * (4.0 + 5.0));
+                assert_eq!(stats.iterations_seen(), ITERATIONS);
                 le_u64s(&[
                     report.iterations_completed,
                     report.blocks_received,
@@ -154,8 +164,7 @@ fn oversized_iteration_fails_fast_not_timeout() {
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let report = server.serve(comm, &plugins(&server, &dir)).unwrap();
                 le_u64s(&[report.blocks_received])
             } else {
                 let mut client = ProcessClient::new(comm, cfg, &dir).unwrap();
@@ -213,8 +222,7 @@ fn drop_policy_skips_oversized_iterations_instead_of_erroring() {
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let report = server.serve(comm, &plugins(&server, &dir)).unwrap();
                 le_u64s(&[
                     report.iterations_completed,
                     report.blocks_received,
@@ -275,8 +283,28 @@ fn drop_policy_skips_oversized_iterations_instead_of_erroring() {
     assert_eq!(skipped_iters, ITERS, "every iteration partially dropped");
 }
 
+/// Records every signal it is routed as `(event index, iteration,
+/// source)`.
+#[derive(Default)]
+struct SignalLog(Mutex<Vec<(usize, u64, usize)>>);
+
+impl Plugin for SignalLog {
+    fn name(&self) -> &str {
+        "viz"
+    }
+
+    fn on_signal(&self, ctx: &SignalCtx<'_>) -> Result<(), String> {
+        let event = ctx.config.registry().event_id(ctx.name).unwrap();
+        self.0
+            .lock()
+            .unwrap()
+            .push((event.index(), ctx.iteration, ctx.source));
+        Ok(())
+    }
+}
+
 #[test]
-fn signals_reach_the_dedicated_core_sink() {
+fn signals_reach_the_dedicated_core_plugin() {
     const WITH_ACTION: &str = r#"
       <simulation name="signals">
         <architecture>
@@ -294,19 +322,21 @@ fn signals_reach_the_dedicated_core_sink() {
       </simulation>"#;
     let out = World::run_spawned_test(
         2,
-        "signals_reach_the_dedicated_core_sink",
+        "signals_reach_the_dedicated_core_plugin",
         &[],
         |comm, _| {
             let cfg = Configuration::from_str(WITH_ACTION).unwrap();
             let dir = World::spawn_dir().unwrap();
             if comm.rank() == DEDICATED_RANK {
                 let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-                let mut sink = StatsSink::new();
-                let report = server.serve(comm, &mut sink).unwrap();
+                let log = Arc::new(SignalLog::default());
+                let set = plugins(&server, &dir);
+                set.register(log.clone());
+                let report = server.serve(comm, &set).unwrap();
                 assert_eq!(
-                    sink.signals,
-                    vec![(0, 2, 1)],
-                    "event 0, iteration 2, rank 1"
+                    *log.0.lock().unwrap(),
+                    vec![(0, 2, 0)],
+                    "event 0, iteration 2, client 0 (world rank 1)"
                 );
                 le_u64s(&[report.signals_delivered])
             } else {
@@ -336,8 +366,7 @@ fn segment_file_cleaned_up() {
         let path = segment_path(&dir);
         if comm.rank() == DEDICATED_RANK {
             let server = ProcessServer::new(comm, cfg, &dir).unwrap();
-            let mut sink = StatsSink::new();
-            server.serve(comm, &mut sink).unwrap();
+            server.serve(comm, &plugins(&server, &dir)).unwrap();
             let existed = path.exists();
             drop(server);
             le_u64s(&[u64::from(existed), u64::from(path.exists())])

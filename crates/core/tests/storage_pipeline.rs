@@ -55,7 +55,10 @@ fn run_store_sim(cfg: Configuration, iterations: u64) -> (SimReport, Arc<Storage
     );
     let report = Damaris::launcher(cfg, "storage-pipeline-test")
         .input(&iterations.to_le_bytes())
-        .with_plugin(storage.clone())
+        .with_plugin({
+            let storage = storage.clone();
+            move || storage.clone()
+        })
         .launch(|h, input| {
             let iterations = u64::from_le_bytes(input.try_into().unwrap());
             for it in 0..iterations {

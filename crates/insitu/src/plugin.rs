@@ -183,7 +183,7 @@ mod tests {
             variable: cfg.registry().var_id(var).unwrap(),
             source: 0,
             iteration: 1,
-            data: b.freeze(),
+            data: b.freeze().into(),
         }
     }
 
@@ -198,7 +198,7 @@ mod tests {
             variable: cfg.registry().var_id("diag").unwrap(),
             source: 0,
             iteration: 1,
-            data: b.freeze(),
+            data: b.freeze().into(),
         });
         let plugin = InSituPlugin::new();
         let act = action(vec![]);

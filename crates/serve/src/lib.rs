@@ -19,9 +19,10 @@
 //!
 //! The server is transport-only: it takes [`ServeOptions`] and
 //! [`PublishBlock`]s and knows nothing about XML configuration or the
-//! `VariableStore` — `damaris_core` wires it in as a `ServePlugin`
-//! (thread world, zero-copy [`Payload::Shm`] out of the shared segment)
-//! and a `ServeSink` (process mode, owned copies).
+//! `VariableStore` — `damaris_core` wires it in as one `ServePlugin`
+//! that runs in both worlds: zero-copy [`Payload::Shm`] views of the
+//! shared segment in the thread world, the dedicated rank's one
+//! [`Payload::Owned`] copy per block in the process world.
 //!
 //! ```no_run
 //! use damaris_serve::{Subscriber, SubscriberEvent};

@@ -21,9 +21,10 @@
 //! peer-supplied length).
 
 use std::io;
-use std::sync::Arc;
 
-use damaris_shm::BlockRef;
+/// A DATA frame's payload (shared-segment view or owned copy), re-exported
+/// from `damaris_shm` so the dedicated core indexes and publishes one type.
+pub use damaris_shm::Payload;
 
 /// Protocol version carried in HELLO.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -38,38 +39,6 @@ pub(crate) const KIND_DATA: u8 = 3;
 pub(crate) const KIND_ITER_END: u8 = 4;
 pub(crate) const KIND_LAG: u8 = 5;
 pub(crate) const KIND_BYE: u8 = 6;
-
-/// A DATA frame's payload: either a zero-copy view into the shared
-/// segment (thread world — the bytes stay in shm until the last
-/// subscriber frame referencing them is sent) or an owned copy (process
-/// mode, where the sink only sees borrowed views of the mapping).
-#[derive(Debug, Clone)]
-pub enum Payload {
-    /// Refcounted view into the shared segment.
-    Shm(BlockRef),
-    /// Owned bytes, shared between subscriber queues.
-    Owned(Arc<Vec<u8>>),
-}
-
-impl Payload {
-    /// The payload bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        match self {
-            Payload::Shm(b) => b.as_slice(),
-            Payload::Owned(v) => v,
-        }
-    }
-
-    /// Payload length in bytes.
-    pub fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// True when the payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// One encoded outbound frame: pre-built header bytes plus an optional
 /// out-of-line payload. Shared as `Arc<Frame>` across subscriber queues so
@@ -355,6 +324,7 @@ pub fn decode(buf: &[u8]) -> io::Result<Option<(Message, usize)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn wire(f: &Frame) -> Vec<u8> {
         let mut v = f.header_bytes().to_vec();

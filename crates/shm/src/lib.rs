@@ -64,6 +64,7 @@
 pub mod arena;
 pub mod error;
 pub mod mapping;
+pub mod payload;
 pub mod queue;
 pub mod segment;
 pub mod spsc;
@@ -72,6 +73,7 @@ pub mod transport;
 pub use arena::SlabCache;
 pub use error::{RecvError, SendError, ShmError, TryRecvError, TrySendError};
 pub use mapping::ShmFile;
+pub use payload::Payload;
 pub use queue::MessageQueue;
 pub use segment::{Block, BlockRef, Pod, SegmentStats, SharedSegment};
 pub use spsc::SpscRing;

@@ -509,10 +509,6 @@ pub struct ServeConfig {
     /// must be ≥ 1). A publish that does not fit drops the whole
     /// iteration for that subscriber and schedules a LAG frame.
     pub queue_frames: u32,
-    /// Completed iterations retained in the `VariableStore` for snapshot
-    /// catch-up (`retain="N"`, must be ≥ 1). Older completed iterations
-    /// are garbage-collected as usual.
-    pub retain: u64,
     /// Optional file the server writes its bound address to
     /// (`addr_file="…"`); relative paths resolve against the node's
     /// output directory. Lets dashboards discover an ephemeral port.
@@ -524,7 +520,6 @@ impl Default for ServeConfig {
         ServeConfig {
             listen: "127.0.0.1:0".to_string(),
             queue_frames: 256,
-            retain: 1,
             addr_file: None,
         }
     }
@@ -919,8 +914,7 @@ impl Configuration {
         if let Some(serve) = &self.architecture.serve {
             let mut se = Element::new("serve")
                 .with_attr("listen", &serve.listen)
-                .with_attr("queue_frames", serve.queue_frames.to_string())
-                .with_attr("retain", serve.retain.to_string());
+                .with_attr("queue_frames", serve.queue_frames.to_string());
             if let Some(path) = &serve.addr_file {
                 se = se.with_attr("addr_file", path);
             }
@@ -1156,13 +1150,6 @@ fn parse_architecture(el: &Element) -> XmlResult<Architecture> {
             .unwrap_or(serve.queue_frames);
         if serve.queue_frames == 0 {
             return Err(XmlError::schema("<serve queue_frames> must be ≥ 1"));
-        }
-        serve.retain = s
-            .attr_parse("retain")
-            .map_err(XmlError::schema)?
-            .unwrap_or(serve.retain);
-        if serve.retain == 0 {
-            return Err(XmlError::schema("<serve retain> must be ≥ 1"));
         }
         serve.addr_file = s.attr("addr_file").map(Into::into);
         arch.serve = Some(serve);
@@ -1815,14 +1802,13 @@ mod tests {
         <simulation name="stream">
           <architecture>
             <buffer size="1048576"/>
-            <serve listen="0.0.0.0:7070" queue_frames="32" retain="3" addr_file="serve.addr"/>
+            <serve listen="0.0.0.0:7070" queue_frames="32" addr_file="serve.addr"/>
           </architecture>
         </simulation>"#;
         let cfg = Configuration::from_str(xml).unwrap();
         let serve = cfg.architecture.serve.as_ref().unwrap();
         assert_eq!(serve.listen, "0.0.0.0:7070");
         assert_eq!(serve.queue_frames, 32);
-        assert_eq!(serve.retain, 3);
         assert_eq!(serve.addr_file.as_deref(), Some("serve.addr"));
         // Everything survives serialize → parse.
         let back = Configuration::from_str(&cfg.to_xml()).unwrap();
@@ -1832,7 +1818,7 @@ mod tests {
     #[test]
     fn serve_defaults_and_bad_forms() {
         // Bare <serve/> gets the defaults: ephemeral loopback port,
-        // 256-frame queues, one retained iteration.
+        // 256-frame queues.
         let cfg = Configuration::from_str(
             r#"<simulation><architecture><serve/></architecture></simulation>"#,
         )
@@ -1841,7 +1827,6 @@ mod tests {
         assert_eq!(serve, ServeConfig::default());
         assert_eq!(serve.listen, "127.0.0.1:0");
         assert_eq!(serve.queue_frames, 256);
-        assert_eq!(serve.retain, 1);
         assert_eq!(serve.addr_file, None);
         // No <serve> element means no streaming tier.
         let cfg = Configuration::from_str("<simulation name=\"x\"/>").unwrap();
@@ -1863,10 +1848,6 @@ mod tests {
             (
                 r#"<simulation><architecture><serve queue_frames="lots"/></architecture></simulation>"#,
                 "queue_frames",
-            ),
-            (
-                r#"<simulation><architecture><serve retain="0"/></architecture></simulation>"#,
-                "retain",
             ),
         ] {
             let err = Configuration::from_str(xml).unwrap_err();
